@@ -257,10 +257,17 @@ def _cmd_shuffle(args) -> int:
             print("\n".join(trace), file=sys.stderr)
         _emit(args, perms.format_word(result), list(result))
     elif args.action == "pieri-inv":
-        marked = shuffles.pieri_unshuffle(
-            args.i, perms.parse_word(_require(args, "word", "--word")),
-            perms.parse_permutation(_require(args, "perm", "--perm")),
-            variant=args.variant)
+        word = perms.parse_word(_require(args, "word", "--word"))
+        source = perms.parse_permutation(_require(args, "perm", "--perm"))
+        k = len(word) - source.length
+        if k < 1:
+            raise ValueError(f"word {perms.format_word(word)} is not longer than "
+                             f"{perms.format_permutation(source)} (k = {k}, need k >= 1)")
+        if not shuffles.pieri_relation(source, perms.prod_word(word), args.i, k, args.variant):
+            raise ValueError(f"word {perms.format_word(word)} is not a reduced word for a "
+                             f"Pieri term of {perms.format_permutation(source)} "
+                             f"(i = {args.i}, k = {k}, variant {args.variant})")
+        marked = shuffles.pieri_unshuffle(args.i, word, source, variant=args.variant)
         word, positions = marked.word_and_positions()
         _emit(args, f"{perms.format_word(word)} @ {','.join(map(str, positions))}",
               {"word": list(word), "positions": list(positions)})

@@ -77,12 +77,6 @@ class SimplicialComplex:
                         seen.add(face)
                         yield face
 
-    def face_count_by_dimension(self) -> dict[int, int]:
-        counts: Counter[int] = Counter()
-        for face in self.faces():
-            counts[len(face) - 1] += 1
-        return dict(counts)
-
     def reduced_euler_characteristic(self) -> int:
         """Alternating sum over all faces, the empty face included."""
         if self.is_void:
@@ -319,14 +313,6 @@ def word_embeddings(ambient: Word, target: Word) -> list[frozenset[int]]:
 
     scan(1, 0, [])
     return out
-
-
-def contains_word_for(ambient: Word, p: Permutation) -> bool:
-    """Whether some subword of the ambient word is a reduced word for p;
-    equivalently the Demazure product of the ambient dominates p in Bruhat
-    order.
-    """
-    return perms.bruhat_leq(p, perms.demazure(ambient))
 
 
 def subword_complex(ambient: Word, p: Permutation) -> SimplicialComplex:

@@ -390,7 +390,14 @@ def bruhat_leq(p: Permutation, q: Permutation) -> bool:
     """Bruhat order via the rank-count criterion.
 
     p <= q iff for all i, j the count #{k <= i : p(k) >= j} never exceeds
-    the same count for q.
+    the same count for q.  One sweep over i keeps the differences of the
+    counts for every j; step i changes them only for j between p(i) and
+    q(i), so only those entries need checking.
+
+    >>> bruhat_leq(parse_permutation("[132]"), parse_permutation("[231]"))
+    True
+    >>> bruhat_leq(parse_permutation("[213]"), parse_permutation("[132]"))
+    False
     """
     if p.length > q.length:
         return False
@@ -399,14 +406,18 @@ def bruhat_leq(p: Permutation, q: Permutation) -> bool:
     if not los:
         return True
     lo, hi = min(los), max(his)
+    # slack[j - lo] = #{k <= i : q(k) >= j} - #{k <= i : p(k) >= j}
+    slack = [0] * (hi - lo + 1)
     for i in range(lo, hi + 1):
-        p_vals = sorted(p(k) for k in range(lo, i + 1))
-        q_vals = sorted(q(k) for k in range(lo, i + 1))
-        for j in range(lo, hi + 1):
-            p_count = sum(1 for v in p_vals if v >= j)
-            q_count = sum(1 for v in q_vals if v >= j)
-            if p_count > q_count:
-                return False
+        pv, qv = p(i), q(i)
+        if pv > qv:
+            for j in range(qv + 1 - lo, pv + 1 - lo):
+                slack[j] -= 1
+                if slack[j] < 0:
+                    return False
+        else:
+            for j in range(pv + 1 - lo, qv + 1 - lo):
+                slack[j] += 1
     return True
 
 

@@ -11,7 +11,7 @@ the dream is reduced when the word is, equivalently when its excess is 0.
 """
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -191,32 +191,63 @@ def staircase_cells(n: int) -> tuple[tuple[int, int], ...]:
 
 def all_pipe_dreams(p: Permutation, n: int | None = None,
                     max_excess: int | None = None) -> frozenset[PipeDream]:
-    """All pipe dreams (any excess) whose permutation is p.
+    """All pipe dreams (any excess, at most max_excess) whose permutation is p.
 
-    These are the subsets of the staircase whose reading word has Demazure
-    product p; the staircase of size n suffices for p in S_n because a cross
-    on a higher antidiagonal would force a letter outside S_n into the
-    product.
+    These are the cross sets of the staircase of size n whose reading word
+    has Demazure product p; size ambient_size(p) suffices, since a cross on a
+    higher antidiagonal would put a letter outside the support of p into the
+    product.  By Knutson-Miller ("Subword complexes in Coxeter groups",
+    2004) they are the complements of the interior faces of the subword
+    complex of triangular_word(n) and p.
+
+    A depth-first search walks the cells in reading order carrying x, the
+    Demazure product of the crosses taken so far, and at each cell either
+    skips it or takes it (x becomes demazure_step(x, letter)).  Demazure
+    products only grow, both along a word and when letters are inserted, so
+    a branch is entered only while
+    (a) x <= p in Bruhat order, and
+    (b) x followed by every remaining letter has Demazure product >= p.
+    Past the last cell (a) and (b) say x == p, so every leaf is a pipe dream
+    for p, and no cross set failing either test is ever built.  The excess
+    of the crosses taken so far never falls, which bounds the search by
+    max_excess.  The Demazure steps and both tests are memoised for the
+    length of one call.
     """
     if n is None:
         n = ambient_size(p)
+    if max_excess is not None and max_excess < 0:
+        return frozenset()
     cells = staircase_cells(n)
-    target_length = p.length
+    letters = [r + c - 1 for (r, c) in cells]
+    step = functools.cache(perms.demazure_step)
+    below_p = functools.cache(lambda x: perms.bruhat_leq(x, p))
+    above_p = functools.cache(lambda x: perms.bruhat_leq(p, x))
+
+    @functools.cache
+    def closure(k: int, x: Permutation) -> Permutation:
+        """Demazure product of x followed by letters[k:]."""
+        return x if k == len(letters) else closure(k + 1, step(x, letters[k]))
+
     out = []
-    for mask_cells in _subsets(cells):
-        word = tuple(r + c - 1 for (r, c) in mask_cells)
-        if max_excess is not None and len(word) - target_length > max_excess:
-            continue
-        if len(word) < target_length:
-            continue
-        if perms.demazure(word) == p:
-            out.append(PipeDream(n, frozenset(mask_cells)))
+    taken: list[tuple[int, int]] = []
+
+    def search(k: int, x: Permutation) -> None:
+        if k == len(cells):
+            out.append(PipeDream(n, frozenset(taken)))
+            return
+        if above_p(closure(k + 1, x)):
+            search(k + 1, x)
+        y = step(x, letters[k])
+        if max_excess is not None and len(taken) + 1 - y.length > max_excess:
+            return
+        if below_p(y) and above_p(closure(k + 1, y)):
+            taken.append(cells[k])
+            search(k + 1, y)
+            taken.pop()
+
+    if above_p(closure(0, Permutation.identity())):
+        search(0, Permutation.identity())
     return frozenset(out)
-
-
-def _subsets(cells: tuple[tuple[int, int], ...]):
-    for r in range(len(cells) + 1):
-        yield from itertools.combinations(cells, r)
 
 
 def is_quasi_yamanouchi(dream: PipeDream) -> bool:

@@ -110,9 +110,6 @@ class Polynomial:
         key = tuple(sorted((i, e) for i, e in exponents.items() if e))
         return self.terms.get(key, 0)
 
-    def total_degrees(self) -> set[int]:
-        return {sum(e for _, e in m) for m in self.terms}
-
     def lowest_degree_part(self) -> "Polynomial":
         if not self.terms:
             return Polynomial.zero()
@@ -239,7 +236,7 @@ def grothendieck(p: Permutation) -> Polynomial:
     total = Polynomial.zero()
     for dream in pipedreams.all_pipe_dreams(p):
         term = from_weak_composition(dream.weight())
-        total = total + (term if dream.excess % 2 == 0 else -term)
+        total = total + (term if (len(dream.crosses) - p.length) % 2 == 0 else -term)
     return total
 
 
@@ -301,7 +298,7 @@ def glide_of_word(word: Word) -> Polynomial:
     the given (not necessarily reduced) reading word; zero when none exists.
     """
     p = perms.demazure(word)
-    matches = [d for d in pipedreams.all_pipe_dreams(p)
+    matches = [d for d in pipedreams.all_pipe_dreams(p, max_excess=len(word) - p.length)
                if pipedreams.is_quasi_yamanouchi(d) and d.reading_word() == tuple(word)]
     if not matches:
         return Polynomial.zero()
@@ -353,5 +350,5 @@ def expand_grothendieck_into_glides(p: Permutation) -> dict[pipedreams.PipeDream
     out = {}
     for dream in pipedreams.quasi_yamanouchi_pipe_dreams(p, reduced_only=False):
         term = glide(dream.weight())
-        out[dream] = term if dream.excess % 2 == 0 else -term
+        out[dream] = term if (len(dream.crosses) - p.length) % 2 == 0 else -term
     return out

@@ -146,3 +146,17 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "all" in out and "passed" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("--i", "2", "--word", "3121", "--perm", "[21]"),
+    ("--i", "1", "--word", "3212", "--perm", "[1]"),
+    ("--i", "1", "--word", "3121", "--perm", "[4213]"),
+])
+def test_pieri_inverse_rejects_non_pieri_input(capsys, argv):
+    """A word that is not a Pieri term of the given permutation, or is no
+    longer than it, is a domain error with one line on stderr."""
+    code, out, err = run(capsys, "shuffle", "pieri-inv", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

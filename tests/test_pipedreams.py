@@ -19,6 +19,8 @@ from schubcalc.pipedreams import (
     triangular_word,
 )
 
+from oracles import scan_pipe_dreams
+
 
 def test_reading_word_examples():
     first = from_word_and_rows(parse_word("315243"), parse_word("112233"), 6)
@@ -148,6 +150,28 @@ def test_all_pipe_dreams_excess_bound():
     assert {d.excess for d in bigger} <= {0, 1, 2}
     capped = all_pipe_dreams(p, 3, max_excess=0)
     assert all(d.excess == 0 for d in capped)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_all_pipe_dreams_matches_subset_scan(m):
+    """The pruned search returns exactly the cross sets a scan over every
+    subset of the staircase finds: for each p in S_m, at its own size, at a
+    larger size and at a smaller one, with and without an excess bound."""
+    scans = {}
+
+    def expected(p, n, max_excess):
+        if n not in scans:
+            scans[n] = scan_pipe_dreams(n)
+        return frozenset(d for d in scans[n].get(p, ())
+                         if max_excess is None or len(d.crosses) - p.length <= max_excess)
+
+    for p in symmetric_group(m):
+        size = pipedreams.ambient_size(p)
+        for n in (size, m + 1, size - 1):
+            for max_excess in (None, 0, 1, 2):
+                assert all_pipe_dreams(p, n, max_excess) == expected(p, n, max_excess), \
+                    (str(p), n, max_excess)
+        assert all_pipe_dreams(p) == expected(p, size, None)
 
 
 def test_render_and_json():

@@ -1,5 +1,6 @@
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from schubcalc import pipedreams, shapes
@@ -23,6 +24,8 @@ from schubcalc.poly import (
     slide_of_word,
 )
 from schubcalc.shuffles import monk_covers
+
+from oracles import grothendieck_by_divided_differences
 
 
 def mono(d, c=1):
@@ -116,6 +119,26 @@ def test_grothendieck_examples():
 def test_grothendieck_lowest_degree_is_schubert():
     for p in symmetric_group(4):
         assert grothendieck(p).lowest_degree_part() == schubert(p)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_grothendieck_matches_divided_differences(n):
+    """Pipe dreams and isobaric divided differences from G_{w0} give the same
+    Grothendieck polynomial on all of S_n."""
+    expected = grothendieck_by_divided_differences(n)
+    assert len(expected) == len(list(symmetric_group(n)))
+    for p, g in expected.items():
+        assert grothendieck(p) == g, str(p)
+
+
+def test_grothendieck_s7_transposition():
+    """A single transposition in S7, out of reach of a scan over the 2^21
+    subsets of the staircase."""
+    p = parse_permutation("[1234576]")
+    g = grothendieck(p)
+    assert len(g.terms) == 63
+    assert sum(g.terms.values()) == 1
+    assert g.lowest_degree_part() == schubert(p)
 
 
 # -- schur / fundamental quasisymmetric --------------------------------------
