@@ -3,12 +3,14 @@
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 on success, 1 on
 a domain error (well-formed input outside an operation's domain), 2 on a
 usage error (argparse failures and malformed permutation/word syntax, which
-report the position of the offending character).
+report the position of the offending character).  A reader that closes
+stdout early also gives exit 1, with no traceback.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import complexes, perms, pipedreams, poly, selftest as selftest_mod, shapes, shuffles
@@ -393,7 +395,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader has gone.  As in the SIGPIPE note of Python's `signal`
+        # docs, point stdout at devnull so the flush at exit cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ParseError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

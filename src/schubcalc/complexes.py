@@ -11,6 +11,7 @@ only face is the empty set; `SimplicialComplex.is_void` tells them apart.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -118,12 +119,6 @@ class SimplicialComplex:
                 counts[facet - {v}] += 1
         return dict(counts)
 
-    def relabelled(self) -> frozenset[Face]:
-        """Facets with vertices renamed order-preservingly to 0..m-1."""
-        used = sorted(set().union(*self.facets)) if self.facets else []
-        index = {v: k for k, v in enumerate(used)}
-        return frozenset(frozenset(index[v] for v in f) for f in self.facets)
-
     def to_json(self) -> dict:
         verts = list(self.vertices)
         return {"vertices": [_vertex_json(v) for v in verts],
@@ -153,76 +148,71 @@ def from_json(data: dict) -> SimplicialComplex:
 # vertex decomposability
 
 
-_VD_CACHE: dict[frozenset[Face], bool] = {}
+# Canonical facet set (vertices renamed order-preservingly to 0..m-1) ->
+# the first vertex whose deletion and link both decompose, _LEAF for {},
+# None when the complex is not vertex-decomposable.
+_VD_CACHE: dict[frozenset[Face], int | None] = {}
+_LEAF = -1
 
 
 def is_vertex_decomposable(complex_: SimplicialComplex) -> bool:
-    """Recursive search with memoization on relabelled facet sets.
-
-    A pure complex qualifies when it is {} or some vertex has vertex-
+    """A pure complex qualifies when it is {} or some vertex has vertex-
     decomposable deletion and link.  Vertices are tried in sorted order, so
     for subword complexes the leftmost surviving position is tried first.
     """
-    if complex_.is_void:
-        return False
-    return _vd_search(complex_.relabelled())
+    return _vd_choice(_canon(complex_.facets)) is not None
 
 
-def _vd_search(facets: frozenset[Face]) -> bool:
-    cached = _VD_CACHE.get(facets)
-    if cached is not None:
-        return cached
-    result = _vd_search_uncached(facets)
-    _VD_CACHE[facets] = result
-    return result
+def vertex_decomposition(complex_: SimplicialComplex):
+    """A witness tree: "leaf" for {}, else (vertex, deletion tree, link tree),
+    with the first vertex in sorted order that works and the original labels.
+
+    Returns None when the complex is not vertex-decomposable.  Subtrees of
+    equal facet sets are shared.
+    """
+    @functools.cache
+    def witness(facets: frozenset[Face]):
+        choice = _vd_choice(_canon(facets))
+        if choice is None:
+            return None
+        if choice == _LEAF:
+            return "leaf"
+        v = sorted(set().union(*facets))[choice]
+        return (v, witness(_deletion(facets, v)), witness(_link(facets, v)))
+
+    return witness(complex_.facets)
 
 
-def _vd_search_uncached(facets: frozenset[Face]) -> bool:
-    if len({len(f) for f in facets}) > 1:
-        return False
+def _vd_choice(facets: frozenset[Face]) -> int | None:
+    """The memoised search on a canonical facet set, whose used vertices
+    are 0..m-1 in sorted order."""
+    if facets in _VD_CACHE:
+        return _VD_CACHE[facets]
+    choice = None
     if facets == frozenset({frozenset()}):
-        return True
-    used = sorted(set().union(*facets))
-    for v in used:
-        deletion = _facets_without(facets, v)
-        link = frozenset(f - {v} for f in facets if v in f)
-        if not link:
-            continue
-        if _vd_search(_canon(deletion)) and _vd_search(_canon(link)):
-            return True
-    return False
+        choice = _LEAF
+    elif len({len(f) for f in facets}) == 1:
+        for v in range(len(set().union(*facets))):
+            if (_vd_choice(_canon(_deletion(facets, v))) is not None
+                    and _vd_choice(_canon(_link(facets, v))) is not None):
+                choice = v
+                break
+    _VD_CACHE[facets] = choice
+    return choice
 
 
-def _facets_without(facets: frozenset[Face], v) -> frozenset[Face]:
+def _deletion(facets: frozenset[Face], v) -> frozenset[Face]:
     stripped = {f - {v} for f in facets}
     return frozenset(f for f in stripped if not any(f < g for g in stripped))
 
 
+def _link(facets: frozenset[Face], v) -> frozenset[Face]:
+    return frozenset(f - {v} for f in facets if v in f)
+
+
 def _canon(facets: frozenset[Face]) -> frozenset[Face]:
-    used = sorted(set().union(*facets)) if facets else []
-    index = {x: k for k, x in enumerate(used)}
+    index = {x: k for k, x in enumerate(sorted(set().union(*facets)))}
     return frozenset(frozenset(index[x] for x in f) for f in facets)
-
-
-def vertex_decomposition(complex_: SimplicialComplex):
-    """A witness tree: "leaf" for {}, else (vertex, deletion tree, link tree).
-
-    Returns None when the complex is not vertex-decomposable.  Unlike
-    is_vertex_decomposable this keeps the original vertex labels.
-    """
-    if complex_.is_void or not complex_.is_pure():
-        return None
-    if complex_.facets == frozenset({frozenset()}):
-        return "leaf"
-    for v in sorted(complex_.used_vertices()):
-        del_tree = vertex_decomposition(complex_.deletion([v]))
-        if del_tree is None:
-            continue
-        link_tree = vertex_decomposition(complex_.link([v]))
-        if link_tree is None:
-            continue
-        return (v, del_tree, link_tree)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 Word = tuple[int, ...]
 
@@ -527,8 +527,3 @@ def symmetric_group(n: int, lo: int = 1) -> Iterator[Permutation]:
     """All permutations of the window lo..lo+n-1."""
     for images in itertools.permutations(range(lo, lo + n)):
         yield Permutation.from_one_line(images, lo=lo)
-
-
-def words_on_letters(length: int, letters: Iterable[int]) -> Iterator[Word]:
-    """All words of the given length over the given alphabet."""
-    yield from itertools.product(*([tuple(letters)] * length))

@@ -218,17 +218,6 @@ def schubert(p: Permutation) -> Polynomial:
     return total
 
 
-def schubert_from_words(p: Permutation) -> Polynomial:
-    """Schubert polynomial via reduced words and their compatible sequences;
-    an independent route to the same polynomial as `schubert`.
-    """
-    total = Polynomial.zero()
-    for word in perms.reduced_words(p):
-        for seq in perms.compatible_sequences(word, lower_bound=1):
-            total = total + from_exponent_word(seq)
-    return total
-
-
 def grothendieck(p: Permutation) -> Polynomial:
     """Signed sum of x^weight over all pipe dreams for p, the sign being
     (-1)^excess.
@@ -279,17 +268,6 @@ def glide(shape: Shape) -> Polynomial:
         term = from_weak_composition(shapes.set_valued_content(svt))
         sign = (shapes.set_valued_size(svt) - base) % 2
         total = total + (term if sign == 0 else -term)
-    return total
-
-
-def glide_from_kompositions(shape: Shape) -> Polynomial:
-    """The same polynomial computed from the glide predicate on kompositions;
-    an independent route to `glide`.
-    """
-    total = Polynomial.zero()
-    for kappa in shapes.glide_kompositions(shape):
-        term = from_weak_composition(kappa.parts)
-        total = total + (term if kappa.excess % 2 == 0 else -term)
     return total
 
 

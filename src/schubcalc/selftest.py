@@ -4,6 +4,7 @@ callable raising AssertionError on failure.
 """
 from __future__ import annotations
 
+import sys
 from typing import Callable
 
 from . import complexes, perms, pipedreams, poly, shapes, shuffles
@@ -274,6 +275,10 @@ CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
 
 
 def run(verbose: bool = False) -> int:
+    if not __debug__:
+        print("selftest: the checks are assert statements, which python -O "
+              "strips; run without -O", file=sys.stderr)
+        return 1
     failures = 0
     for name, check in CHECKS:
         try:

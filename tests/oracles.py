@@ -1,19 +1,24 @@
-"""Test-only second routes to pipe dreams and Grothendieck polynomials.
+"""Test-only second routes, deliberately naive and independent of the
+code they check:
 
-Both are deliberately naive and independent of the search in
-`pipedreams.all_pipe_dreams`:
-
-- `scan_pipe_dreams` tries every subset of the staircase;
+- `scan_pipe_dreams` tries every subset of the staircase, against the search
+  in `pipedreams.all_pipe_dreams`;
 - `grothendieck_by_divided_differences` starts from G_{w0} and applies
   isobaric divided differences (Lascoux-Schuetzenberger; Fomin-Kirillov
-  1994), never looking at a pipe dream.
+  1994), never looking at a pipe dream;
+- `schubert_from_words` sums over reduced words and compatible sequences,
+  and `glide_from_kompositions` over glide kompositions, against the pipe
+  dream and tableau routes in `poly`;
+- `vertex_decomposition_by_deletion_link` walks deletions and links with no
+  memo, against the memoised search in `complexes`;
+- `words_on_letters` lists every word of a given length.
 """
 import itertools
 
-from schubcalc import perms
+from schubcalc import perms, shapes
 from schubcalc.perms import Permutation
 from schubcalc.pipedreams import PipeDream, staircase_cells
-from schubcalc.poly import Polynomial
+from schubcalc.poly import Polynomial, from_exponent_word, from_weak_composition
 
 
 def scan_pipe_dreams(n):
@@ -61,3 +66,45 @@ def grothendieck_by_divided_differences(n):
                     below.append(v)
         layer = below
     return out
+
+
+def schubert_from_words(p):
+    """Schubert polynomial via reduced words and their compatible sequences."""
+    total = Polynomial.zero()
+    for word in perms.reduced_words(p):
+        for seq in perms.compatible_sequences(word, lower_bound=1):
+            total = total + from_exponent_word(seq)
+    return total
+
+
+def glide_from_kompositions(shape):
+    """Glide polynomial computed from the glide predicate on kompositions."""
+    total = Polynomial.zero()
+    for kappa in shapes.glide_kompositions(shape):
+        term = from_weak_composition(kappa.parts)
+        total = total + (term if kappa.excess % 2 == 0 else -term)
+    return total
+
+
+def words_on_letters(length, letters):
+    """All words of the given length over the given alphabet."""
+    yield from itertools.product(*([tuple(letters)] * length))
+
+
+def vertex_decomposition_by_deletion_link(complex_):
+    """Witness tree of the first vertex, in sorted order, whose deletion and
+    link both decompose: "leaf" for {}, else (vertex, deletion tree, link
+    tree); None when there is none.  No memo."""
+    if complex_.is_void or not complex_.is_pure():
+        return None
+    if complex_.facets == frozenset({frozenset()}):
+        return "leaf"
+    for v in sorted(complex_.used_vertices()):
+        del_tree = vertex_decomposition_by_deletion_link(complex_.deletion([v]))
+        if del_tree is None:
+            continue
+        link_tree = vertex_decomposition_by_deletion_link(complex_.link([v]))
+        if link_tree is None:
+            continue
+        return (v, del_tree, link_tree)
+    return None

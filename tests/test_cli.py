@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,16 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def spawn_cli(*argv, python_flags=(), **kwargs):
+    """The CLI in a child interpreter that imports this checkout's sources,
+    with stdout block-buffered as it is by default for a pipe."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, *python_flags, "-m", "schubcalc.cli", *argv],
+                            env=env, stderr=subprocess.PIPE, text=True, **kwargs)
 
 
 def test_poly_schubert(capsys):
@@ -160,3 +174,29 @@ def test_pieri_inverse_rejects_non_pieri_input(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("perm", ["[2143]", "[165432]"])
+def test_closed_stdout_exits_1_without_traceback(perm):
+    """The reader of stdout is gone before the child writes a byte.  The 335
+    bytes for [2143] fail in the final flush, the 22,819 for [165432] in
+    print, which writes through once the buffer is full."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = spawn_cli("--format", "json", "pipedreams", "list", "--all", perm,
+                          stdout=write_end)
+    finally:
+        os.close(write_end)
+    _, err = child.communicate(timeout=60)
+    assert child.returncode == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_selftest_refuses_under_optimize():
+    """python -O strips the checks' asserts, so selftest must not report a pass."""
+    child = spawn_cli("selftest", python_flags=("-O",), stdout=subprocess.PIPE)
+    out, err = child.communicate(timeout=60)
+    assert child.returncode == 1
+    assert "passed" not in out
+    assert err.count("\n") == 1 and "-O" in err

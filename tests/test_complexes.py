@@ -1,6 +1,9 @@
+import itertools
+import random
+
 import pytest
 
-from schubcalc import complexes, perms, poly, shapes
+from schubcalc import complexes, perms, pipedreams, poly, shapes
 from schubcalc.complexes import (
     SimplicialComplex,
     classify_ball_or_sphere,
@@ -19,6 +22,8 @@ from schubcalc.complexes import (
     word_set_complex,
 )
 from schubcalc.perms import parse_permutation, parse_word
+
+from oracles import vertex_decomposition_by_deletion_link
 
 
 def facets(*sets):
@@ -51,6 +56,51 @@ def test_vertex_decomposability_base_cases():
     glued = SimplicialComplex.from_facets([{1, 2, 3}, {3, 4, 5}])
     assert not is_vertex_decomposable(glued)
     assert vertex_decomposition(glued) is None
+
+
+def _decomposition_cases():
+    """Subword complexes Delta(Q_n, p) for all of S3-S5 and on random words,
+    word-set complexes on proper subsets of R(p), tableau complexes, and the
+    degenerate cases."""
+    for n in (3, 4, 5):
+        for p in perms.symmetric_group(n):
+            yield subword_complex(pipedreams.triangular_word(n), p)
+    rng = random.Random(4)
+    for _ in range(300):
+        q = tuple(rng.randint(1, 4) for _ in range(rng.randint(4, 11)))
+        yield subword_complex(q, perms.demazure([a for a in q if rng.random() < 0.5]))
+    ambient = parse_word("32132312")
+    for p in perms.symmetric_group(4):
+        words = perms.reduced_words(p)
+        if len(words) > 6:
+            continue
+        for r in range(1, len(words)):
+            for subset in itertools.combinations(words, r):
+                yield word_set_complex(ambient, subset)
+    for family, shape, n in [
+            ("ssyt", (1, 1), 3), ("ssyt", (2, 1), 3), ("ssyt", (1, 1, 1), 4),
+            ("ssyt", (3,), 3), ("ssyt", (2, 2), 3), ("ct", (1, 2), 3),
+            ("ct", (2, 1), 3), ("ct", (1, 1, 1), 4), ("wct", (0, 2, 1), 3),
+            ("wct", (1, 0, 2), 3), ("wct", (0, 1, 2), 3), ("wct", (1, 1, 1), 3)]:
+        yield tableau_complex(family, shape, n)
+    yield SimplicialComplex.void((1, 2))
+    yield SimplicialComplex.from_facets([frozenset()])
+    yield SimplicialComplex.from_facets([{1, 2}, {3, 4}])
+    yield SimplicialComplex((1, 2, 3, 4, 5), facets({1, 2}, {2, 4}, {1, 4}))
+    yield SimplicialComplex.from_facets([{1, 2}, {3}])
+
+
+def test_vertex_decomposition_matches_deletion_link_walk():
+    """The memoised search picks the same vertex at every node as the plain
+    walk over deletions and links, trying vertices in sorted order."""
+    checked = decomposable = 0
+    for complex_ in _decomposition_cases():
+        tree = vertex_decomposition(complex_)
+        assert tree == vertex_decomposition_by_deletion_link(complex_), complex_
+        assert is_vertex_decomposable(complex_) == (tree is not None), complex_
+        checked += 1
+        decomposable += tree is not None
+    assert decomposable > 0 and checked - decomposable > 20
 
 
 def test_classification_examples():

@@ -23,8 +23,9 @@ from schubcalc.perms import (
     symmetric_group,
     tau,
     wiring_label,
-    words_on_letters,
 )
+
+from oracles import words_on_letters
 
 
 def test_product_examples():

@@ -15,17 +15,19 @@ from schubcalc.poly import (
     from_weak_composition,
     fundamental_quasisymmetric,
     glide,
-    glide_from_kompositions,
     grothendieck,
     schubert,
-    schubert_from_words,
     schur,
     slide,
     slide_of_word,
 )
 from schubcalc.shuffles import monk_covers
 
-from oracles import grothendieck_by_divided_differences
+from oracles import (
+    glide_from_kompositions,
+    grothendieck_by_divided_differences,
+    schubert_from_words,
+)
 
 
 def mono(d, c=1):
