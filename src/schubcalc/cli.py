@@ -393,8 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            # --help prints to stdout before argparse exits
+            sys.stdout.flush()
+            raise
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -16,16 +16,21 @@ Conventions:
 Wiring diagrams for a word of length n have columns 0..n, the identity
 labelling on the right.  Position p sits between columns p-1 and p, and the
 label wiring_label(w, c, h) is the label at height h in column c; it depends
-only on the letters strictly to the right of column c.
+only on the letters strictly to the right of column c.  wiring_sweep gives a
+column's labels at every height, and the label pair of every cross, in one
+right-to-left pass.  A slot holding INF holds no cross.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Container, Iterator, Sequence
 
 Word = tuple[int, ...]
+
+# A slot of a word that holds no cross; compares above every integer.
+INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -253,7 +258,8 @@ def parse_word(text: str) -> Word:
 
 
 def prod_word(word: Sequence[int]) -> Permutation:
-    """The product s_{w_1} ... s_{w_k}.
+    """The product s_{w_1} ... s_{w_k}: one pass over a list of images, each
+    letter a swapping the images of a and a+1.
 
     >>> str(prod_word((3, 2, 1, 2)))
     '[4213]'
@@ -262,15 +268,34 @@ def prod_word(word: Sequence[int]) -> Permutation:
     >>> prod_word((1, 1)) == Permutation.identity()
     True
     """
-    result = Permutation.identity()
+    if not word:
+        return Permutation.identity()
+    lo = min(word)
+    images = list(range(lo, max(word) + 2))
     for a in word:
-        result = result * Permutation.simple(a)
-    return result
+        a -= lo
+        images[a], images[a + 1] = images[a + 1], images[a]
+    return Permutation(lo, tuple(images))
 
 
 def is_reduced(word: Sequence[int]) -> bool:
-    """A word is reduced when its product has length equal to its size."""
-    return prod_word(word).length == len(word)
+    """A word is reduced when every letter a lengthens the product of the
+    letters before it, i.e. finds the images of a and a+1 still in order.
+
+    >>> is_reduced((1, 2, 1)), is_reduced((1, 2, 1, 2))
+    (True, False)
+    """
+    if not word:
+        return True
+    lo = min(word)
+    images = list(range(lo, max(word) + 2))
+    for a in word:
+        a -= lo
+        left, right = images[a], images[a + 1]
+        if left > right:
+            return False
+        images[a], images[a + 1] = right, left
+    return True
 
 
 def demazure(word: Sequence[int]) -> Permutation:
@@ -421,28 +446,57 @@ def bruhat_leq(p: Permutation, q: Permutation) -> bool:
     return True
 
 
+def wiring_sweep(word: Sequence, column: int = 0, skip: Container[int] = frozenset(),
+                 heights: range = range(0)) -> tuple[list[int], list]:
+    """One right-to-left pass over the wiring diagram of a word, from the
+    identity labelling in column len(word) down to the given column.
+
+    Returns (labels, crosses).  labels[k] is the label at height heights[k]
+    in the column (heights has step 1).  crosses[p - 1], for column < p <=
+    len(word), is the pair of labels swapped by the cross at position p, the
+    first being the label moving up when read right to left; the entries of
+    positions p <= column are None.
+
+    Positions in `skip` (1-based) contribute no swap but still report the pair
+    their cross would swap.  An INF slot holds no cross: it swaps nothing and
+    reports (INF, INF), which equals no pair of finite labels.
+
+    >>> wiring_sweep((3, 2, 1, 2), 2, heights=range(1, 5))
+    ([3, 1, 2, 4], [None, None, (1, 3), (2, 3)])
+    """
+    ends = [*heights[:1], *heights[-1:]]
+    finite = [a for a in word if a != INF]
+    if finite:
+        ends += (min(finite), max(finite) + 1)
+    lo, hi = min(ends, default=0), max(ends, default=0)
+    labels = list(range(lo, hi + 1))
+    crosses: list = [None] * len(word)
+    for p in range(len(word), column, -1):
+        a = word[p - 1]
+        if a == INF:
+            crosses[p - 1] = (INF, INF)
+            continue
+        a -= lo
+        up, down = labels[a], labels[a + 1]
+        crosses[p - 1] = (up, down)
+        if p not in skip:
+            labels[a], labels[a + 1] = down, up
+    return labels[heights.start - lo:heights.stop - lo], crosses
+
+
 def wiring_label(word: Sequence[int], column: int, height: int,
-                 skip: frozenset[int] | set[int] = frozenset()) -> int:
+                 skip: Container[int] = frozenset()) -> int:
     """Label at the given height in the given column of the wiring diagram.
 
     Column len(word) carries the identity labelling; the label in column c
     is obtained by swapping heights (w_p, w_p + 1) for p = c+1, ..., len(word)
     in that order.  Positions in `skip` (1-based) contribute no swap.
     """
-    h = height
-    for p in range(column + 1, len(word) + 1):
-        if p in skip:
-            continue
-        a = word[p - 1]
-        if h == a:
-            h = a + 1
-        elif h == a + 1:
-            h = a
-    return h
+    return wiring_sweep(word, column, skip, range(height, height + 1))[0][0]
 
 
 def cross_labels(word: Sequence[int], position: int,
-                 skip: frozenset[int] | set[int] = frozenset()) -> tuple[int, int]:
+                 skip: Container[int] = frozenset()) -> tuple[int, int]:
     """The pair of wire labels swapped by the cross at a position (1-based).
 
     The first entry is the label moving up when read right to left.  Reading
@@ -452,9 +506,7 @@ def cross_labels(word: Sequence[int], position: int,
     >>> [cross_labels((3, 2, 1, 2), p) for p in (4, 3, 2, 1)]
     [(2, 3), (1, 3), (1, 2), (1, 4)]
     """
-    h = word[position - 1]
-    return (wiring_label(word, position, h, skip),
-            wiring_label(word, position, h + 1, skip))
+    return wiring_sweep(word, position - 1, skip)[1][position - 1]
 
 
 def defects(word: Sequence[int]) -> tuple[int, int] | None:

@@ -28,12 +28,15 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import perms
-from .perms import Permutation, Word
-
-INF = float("inf")
+from .perms import INF, Permutation, Word
 
 DOWN = "down"
 UP = "up"
+
+
+class InvariantError(AssertionError):
+    """An invariant of the insertion or extraction loop failed.  The checks
+    raise it explicitly, so `validate=True` keeps checking under python -O."""
 
 
 @dataclass(frozen=True)
@@ -94,50 +97,24 @@ def insert_slots(word: Sequence[int], positions: Sequence[int]) -> MarkedWord:
 # wiring labels on slotted words
 
 
-def _label(letters: Sequence, column: int, height: int, skip: frozenset[int]) -> int:
-    """Wire label at a height in a column, ignoring the skipped positions.
-    INF slots never hold a placed cross, so they contribute no swap.
-    """
-    h = height
-    for p in range(column + 1, len(letters) + 1):
-        if p in skip:
-            continue
-        a = letters[p - 1]
-        if a == INF:
-            continue
-        if h == a:
-            h = a + 1
-        elif h == a + 1:
-            h = a
-    return h
-
-
-def _cross_labels(letters: Sequence, position: int, skip: frozenset[int]) -> tuple[int, int]:
-    h = letters[position - 1]
-    return (_label(letters, position, h, skip),
-            _label(letters, position, h + 1, skip))
-
-
 def _height_window(letters: Sequence, pivot: int) -> tuple[int, int]:
     finite = [int(a) for a in letters if a != INF] + [pivot]
     slack = len(letters) + 2
     return (min(finite) - slack, max(finite) + slack)
 
 
-def _second_crossing(letters: Sequence, j: int, skip: frozenset[int],
-                     candidates: Iterable[int]) -> int | None:
+def _second_crossing(crosses: list, j: int, candidates: Iterable[int]) -> int | None:
     """Position among the candidates where the two wires crossing at j cross
     again; None when they cross only once.  The second crossing shows the
-    same label pair in the opposite order.
+    same label pair in the opposite order.  `crosses` is the cross-pair list
+    of perms.wiring_sweep.
     """
-    a, b = _cross_labels(letters, j, skip)
+    a, b = crosses[j - 1]
     found = None
     for p in candidates:
-        if p == j or p in skip or letters[p - 1] == INF:
-            continue
-        if _cross_labels(letters, p, skip) == (b, a):
+        if p != j and crosses[p - 1] == (b, a):
             if found is not None:
-                raise AssertionError(f"wires {a},{b} cross more than twice")
+                raise InvariantError(f"wires {a},{b} cross more than twice")
             found = p
     return found
 
@@ -162,37 +139,41 @@ def monk_shuffle(i: int, word: Sequence[int], position: int,
         raise ValueError("insertion position out of range")
     letters: list = list(word[:position - 1]) + [INF] + list(word[position - 1:])
     pending: int | None = position
-    none = frozenset()
     while pending is not None:
         j = pending
         lo, hi = _height_window(letters, i)
+        labels = perms.wiring_sweep(letters, j, heights=range(lo, hi + 2))[0]
         cur = letters[j - 1]
         k = None
         top = hi if cur == INF else min(int(cur) - 1, hi)
         for h in range(top, lo - 1, -1):
-            if _label(letters, j, h, none) <= i < _label(letters, j, h + 1, none):
+            if labels[h - lo] <= i < labels[h + 1 - lo]:
                 k = h
                 break
         if k is None:
-            raise AssertionError("no available swap below the pending cross")
+            raise InvariantError("no available swap below the pending cross")
         letters[j - 1] = k
         if trace is not None:
             finite = [int(a) for a in letters if a != INF] + [i]
             low, high = min(finite) - 1, max(finite) + 2
-            shown = [_label(letters, j, h, none) for h in range(low, high + 1)]
+            shown = perms.wiring_sweep(letters, j, heights=range(low, high + 1))[0]
             trace.append(f"placed {k} at position {j}; word = "
                          + " ".join("oo" if a == INF else str(a) for a in letters)
                          + f" ; labels(col {j}, h={low}..{high}) = {shown}")
-        partner = _second_crossing(letters, j, none, range(1, len(letters) + 1))
+        crosses = perms.wiring_sweep(letters)[1]
+        partner = _second_crossing(crosses, j, range(1, len(letters) + 1))
         if partner is not None and validate:
-            pair = perms.defects(tuple(letters))
-            assert pair == tuple(sorted((partner, j))), "defect pair mismatch"
-            assert partner < j, "bumped cross should sit further left"
+            if perms.defects(tuple(letters)) != tuple(sorted((partner, j))):
+                raise InvariantError("defect pair mismatch")
+            if partner >= j:
+                raise InvariantError("bumped cross should sit further left")
         pending = partner
     result = tuple(int(a) for a in letters)
     if validate:
-        assert perms.is_reduced(result)
-        assert perms.prod_word(result).length == perms.prod_word(word).length + 1
+        if not perms.is_reduced(result):
+            raise InvariantError("the insertion must give a reduced word")
+        if perms.prod_word(result).length != perms.prod_word(word).length + 1:
+            raise InvariantError("the insertion must add one to the length")
     return result
 
 
@@ -217,33 +198,34 @@ def monk_unshuffle(i: int, word: Sequence[int], source: Permutation,
         raise ValueError(f"transposition ({a},{b}) does not straddle {i}")
     if sigma.length != source.length + 1:
         raise ValueError("length must go up by exactly one")
-    none = frozenset()
-    hits = [p for p in range(1, len(word) + 1)
-            if _cross_labels(word, p, none) == (a, b)]
+    hits = [p for p, pair in enumerate(perms.wiring_sweep(word)[1], start=1)
+            if pair == (a, b)]
     if len(hits) != 1:
-        raise AssertionError("a reduced word shows each inversion exactly once")
+        raise InvariantError("a reduced word shows each inversion exactly once")
     j = hits[0]
     letters: list = list(word)
     while letters[j - 1] != INF:
         lo, hi = _height_window(letters, i)
+        labels = perms.wiring_sweep(letters, j, heights=range(lo, hi + 2))[0]
         cur = int(letters[j - 1])
         k: int | float = INF
         for h in range(cur + 1, hi + 1):
-            if _label(letters, j, h + 1, none) <= i < _label(letters, j, h, none):
+            if labels[h + 1 - lo] <= i < labels[h - lo]:
                 k = h
                 break
         letters[j - 1] = k
         if k != INF:
-            partner = _second_crossing(letters, j, none, range(1, len(letters) + 1))
+            crosses = perms.wiring_sweep(letters)[1]
+            partner = _second_crossing(crosses, j, range(1, len(letters) + 1))
             if partner is None:
-                raise AssertionError("raised cross must recreate a crossing")
-            if validate:
-                assert partner > j, "defects move right while unwinding"
+                raise InvariantError("raised cross must recreate a crossing")
+            if validate and partner <= j:
+                raise InvariantError("defects move right while unwinding")
             j = partner
     position = j
     out = tuple(int(a) for p, a in enumerate(letters, start=1) if p != position)
-    if validate:
-        assert perms.is_reduced(out) and perms.prod_word(out) == source
+    if validate and not (perms.is_reduced(out) and perms.prod_word(out) == source):
+        raise InvariantError("the extraction must give a reduced word for the source")
     return out, position
 
 
@@ -288,7 +270,7 @@ class _CofiniteSet:
 
     def remove(self, x: int) -> None:
         if x not in self:
-            raise AssertionError(f"removing {x} from a set not holding it")
+            raise InvariantError(f"removing {x} from a set not holding it")
         if x in self.plus:
             self.plus.discard(x)
         else:
@@ -384,11 +366,13 @@ class _PieriEngine:
         return tuple(int(a) for a, m in zip(self.slots, self.marks)
                      if m is None and a != INF)
 
-    def _labels(self, column: int, height: int) -> int:
-        return _label(self.slots, column, height, self._down_positions())
+    def _column_labels(self, column: int, heights: range) -> list[int]:
+        return perms.wiring_sweep(self.slots, column, self._down_positions(), heights)[0]
 
-    def _cross(self, position: int) -> tuple[int, int]:
-        return _cross_labels(self.slots, position, self._down_positions())
+    def _crosses(self) -> list:
+        """The label pair of every cross, pending (down-marked) crosses
+        swapping nothing; index position - 1."""
+        return perms.wiring_sweep(self.slots, skip=self._down_positions())[1]
 
     def _snapshot(self, note: str, column: int | None = None) -> None:
         if self.trace is None:
@@ -399,7 +383,7 @@ class _PieriEngine:
         if column is not None:
             finite = [int(a) for a in self.slots if a != INF] + [self.i]
             lo, hi = min(finite) - 1, max(finite) + 2
-            labels = [self._labels(column, h) for h in range(lo, hi + 1)]
+            labels = self._column_labels(column, range(lo, hi + 1))
             line += f" ; labels(col {column}, h={lo}..{hi}) = {labels}"
         self.trace.append(line)
 
@@ -426,69 +410,66 @@ class _PieriEngine:
                 break
             guard += 1
             if guard > 100 * len(self.slots) + 1000:
-                raise AssertionError("insertion loop failed to terminate")
+                raise InvariantError("insertion loop failed to terminate")
             j = max(downs)
             self._step_forward(j)
             if self.validate:
                 remaining = self._positions_with(DOWN)
-                assert not remaining or max(remaining) < j, "pending marks must move left"
+                if remaining and max(remaining) >= j:
+                    raise InvariantError("pending marks must move left")
                 self._check_unmarked_subword()
         result = tuple(int(a) for a in self.slots)
-        if self.validate:
-            assert perms.is_reduced(result)
+        if self.validate and not perms.is_reduced(result):
+            raise InvariantError("the insertion must give a reduced word")
         return result
 
     def _step_forward(self, j: int) -> None:
         cur = self.slots[j - 1]
         if cur != INF:
             # the pending cross was bumped: release the label it was holding
-            lower, upper = self._cross(j)
+            crosses = self._crosses()
+            lower, upper = crosses[j - 1]
             held = upper if self.variant == "c" else lower
-            if self.validate:
-                assert self._claims.pop(j) == held, \
-                    "the released label must be the one booked at bump time"
+            if self.validate and self._claims.pop(j) != held:
+                raise InvariantError("the released label must be the one booked at bump time")
             self.book.remove(held)
-            self._release_partner_mark(j, held)
-        skip = self._down_positions()
+            self._release_partner_mark(crosses, j, held)
         lo, hi = _height_window(self.slots, self.i)
+        labels = self._column_labels(j, range(lo, hi + 2))
         top = hi if cur == INF else min(int(cur) - 1, hi)
         k = None
         for h in range(top, lo - 1, -1):
-            a = _label(self.slots, j, h, skip)
-            b = _label(self.slots, j, h + 1, skip)
-            if self._insert_ok(a, b):
+            if self._insert_ok(labels[h - lo], labels[h + 1 - lo]):
                 k = h
                 break
         if k is None:
-            raise AssertionError("no available swap below the pending cross")
+            raise InvariantError("no available swap below the pending cross")
         self.slots[j - 1] = k
         self.marks[j - 1] = UP
-        lower, upper = self._cross(j)
-        if self.validate:
-            assert lower < upper, "insertions never create a defect on their right"
+        crosses = self._crosses()
+        lower, upper = crosses[j - 1]
+        if self.validate and not lower < upper:
+            raise InvariantError("insertions never create a defect on their right")
         booked = lower if self.variant == "c" else upper
         self.book.add(booked)
-        partner = _second_crossing(self.slots, j, self._down_positions(),
-                                   range(1, j))
+        partner = _second_crossing(crosses, j,
+                                   [p for p in range(1, j) if self.marks[p - 1] != DOWN])
         if partner is not None:
             if self.validate:
-                assert self.marks[partner - 1] is None, "only plain crosses get bumped"
+                if self.marks[partner - 1] is not None:
+                    raise InvariantError("only plain crosses get bumped")
                 self._claims[partner] = booked
             self.marks[partner - 1] = DOWN
         self._snapshot(f"placed {k} at {j}", column=j)
 
-    def _release_partner_mark(self, j: int, held: int) -> None:
+    def _release_partner_mark(self, crosses: list, j: int, held: int) -> None:
         """Drop the up mark from the cross that had claimed the held label."""
-        hits = []
-        for p in self._positions_with(UP):
-            lower, upper = self._cross(p)
-            probe = lower if self.variant == "c" else upper
-            if probe == held:
-                hits.append(p)
+        side = 0 if self.variant == "c" else 1
+        hits = [p for p in self._positions_with(UP) if crosses[p - 1][side] == held]
         if len(hits) != 1:
-            raise AssertionError(f"label {held} should be claimed exactly once, found {hits}")
-        if self.validate:
-            assert hits[0] > j, "the claiming cross sits to the right"
+            raise InvariantError(f"label {held} should be claimed exactly once, found {hits}")
+        if self.validate and hits[0] <= j:
+            raise InvariantError("the claiming cross sits to the right")
         self.marks[hits[0] - 1] = None
 
     def _check_unmarked_subword(self) -> None:
@@ -496,14 +477,15 @@ class _PieriEngine:
         the up-marked cross claiming its held label, is the rightmost subword
         for the original permutation inside the visible (non-pending) word.
         """
+        crosses = self._crosses()
         virtual = set(self._positions_with(None))
         for j in self._positions_with(DOWN):
             if self.slots[j - 1] == INF:
                 continue
-            lower, upper = self._cross(j)
+            lower, upper = crosses[j - 1]
             held = upper if self.variant == "c" else lower
             for p in self._positions_with(UP):
-                lo_p, up_p = self._cross(p)
+                lo_p, up_p = crosses[p - 1]
                 probe = lo_p if self.variant == "c" else up_p
                 if probe == held:
                     virtual.add(p)
@@ -512,18 +494,17 @@ class _PieriEngine:
         visible = tuple(None if (p in down or a == INF) else a
                         for p, a in enumerate(self.slots, start=1))
         expected = rightmost_subword(visible, self.source)
-        assert frozenset(virtual) == frozenset(expected), \
-            f"unmarked subword {sorted(virtual)} != rightmost subword {sorted(expected)}"
+        if frozenset(virtual) != frozenset(expected):
+            raise InvariantError(f"unmarked subword {sorted(virtual)} "
+                                 f"!= rightmost subword {sorted(expected)}")
 
     # -- backward run
 
     def run_backward(self) -> MarkedWord:
-        if self.variant == "c":
-            for p in self._positions_with(UP):
-                self.book.add(self._cross(p)[0])
-        else:
-            for p in self._positions_with(UP):
-                self.book.add(self._cross(p)[1])
+        side = 0 if self.variant == "c" else 1
+        crosses = self._crosses()
+        for p in self._positions_with(UP):
+            self.book.add(crosses[p - 1][side])
         self._snapshot("start")
         guard = 0
         while True:
@@ -532,48 +513,48 @@ class _PieriEngine:
                 break
             guard += 1
             if guard > 100 * len(self.slots) + 1000:
-                raise AssertionError("extraction loop failed to terminate")
+                raise InvariantError("extraction loop failed to terminate")
             j = min(ups)
             self._step_backward(j)
             if self.validate:
                 remaining = self._positions_with(UP)
-                assert not remaining or min(remaining) > j, "up marks are consumed left to right"
+                if remaining and min(remaining) <= j:
+                    raise InvariantError("up marks are consumed left to right")
         if any(m == DOWN and a != INF for a, m in zip(self.slots, self.marks)):
-            raise AssertionError("pending finite crosses survived the unwinding")
+            raise InvariantError("pending finite crosses survived the unwinding")
         result = MarkedWord(tuple(self.slots), tuple(self.marks))
-        if self.validate:
-            base, _ = result.word_and_positions()
-            assert perms.is_reduced(base)
+        if self.validate and not perms.is_reduced(result.word_and_positions()[0]):
+            raise InvariantError("the extraction must give a reduced word")
         return result
 
     def _step_backward(self, j: int) -> None:
-        lower, upper = self._cross(j)
+        crosses = self._crosses()
+        lower, upper = crosses[j - 1]
         # if the cross at j had bumped another one down, un-bump it first
         partner = None
         for p in self._positions_with(DOWN):
             if p >= j or self.slots[p - 1] == INF:
                 continue
-            if self._cross(p) == (upper, lower):
+            if crosses[p - 1] == (upper, lower):
                 if partner is not None:
-                    raise AssertionError("two pending crosses claim the same wires")
+                    raise InvariantError("two pending crosses claim the same wires")
                 partner = p
         if partner is not None:
             self.marks[partner - 1] = None
         self.book.remove(lower if self.variant == "c" else upper)
-        skip = self._down_positions()
         lo, hi = _height_window(self.slots, self.i)
+        labels = self._column_labels(j, range(lo, hi + 2))
         cur = int(self.slots[j - 1])
         k: int | float = INF
         for h in range(cur + 1, hi + 1):
-            a = _label(self.slots, j, h, skip)
-            b = _label(self.slots, j, h + 1, skip)
-            if self._extract_ok(a, b):
+            if self._extract_ok(labels[h - lo], labels[h + 1 - lo]):
                 k = h
                 break
         self.slots[j - 1] = k
         self.marks[j - 1] = DOWN
         if k != INF:
-            lower, upper = self._cross(j)
+            # the new cross at j swaps the labels of column j at heights k, k+1
+            lower, upper = labels[k - lo], labels[k + 1 - lo]
             self.book.add(upper if self.variant == "c" else lower)
             mate = self._defect_mate_in_unmarked(j)
             self.marks[mate - 1] = UP
@@ -586,11 +567,12 @@ class _PieriEngine:
         rightwards (the Monk extraction's "rightmost defect")."""
         visible = set(self._positions_with(None)) | {j}
         skip = frozenset(p for p in range(1, len(self.slots) + 1) if p not in visible)
-        a, b = _cross_labels(self.slots, j, skip)
+        crosses = perms.wiring_sweep(self.slots, skip=skip)[1]
+        a, b = crosses[j - 1]
         hits = [p for p in self._positions_with(None)
-                if p > j and _cross_labels(self.slots, p, skip) == (b, a)]
+                if p > j and crosses[p - 1] == (b, a)]
         if len(hits) != 1:
-            raise AssertionError(f"expected one defect mate for {j}, found {hits}")
+            raise InvariantError(f"expected one defect mate for {j}, found {hits}")
         return hits[0]
 
 
@@ -605,17 +587,21 @@ def rightmost_subword(ambient: Sequence, p: Permutation) -> tuple[int, ...]:
     >>> rightmost_subword((3, 2, 1, 3, 2, 3), perms.parse_permutation("[1432]"))
     (4, 5, 6)
     """
-    remaining = p
+    usable = [(pos, int(a)) for pos, a in enumerate(ambient, start=1)
+              if a is not None and a != INF]
+    lo = min([p.lo] + [a for _, a in usable])
+    hi = max([p.lo + len(p.window) - 1] + [a + 1 for _, a in usable])
+    # images[x - lo] = remaining(x), remaining being p times the simple
+    # transpositions of the letters chosen so far
+    images = [p(x) for x in range(lo, hi + 1)]
     chosen: list[int] = []
-    for pos in range(len(ambient), 0, -1):
-        letter = ambient[pos - 1]
-        if letter is None or letter == INF:
-            continue
-        letter = int(letter)
-        if remaining(letter) > remaining(letter + 1):
-            remaining = remaining.right_mul_simple(letter)
+    for pos, a in reversed(usable):
+        a -= lo
+        left, right = images[a], images[a + 1]
+        if left > right:
+            images[a], images[a + 1] = right, left
             chosen.append(pos)
-    if not remaining.is_identity():
+    if images != list(range(lo, hi + 1)):
         raise ValueError("ambient word does not contain the permutation")
     return tuple(reversed(chosen))
 

@@ -11,12 +11,20 @@ code they check:
   dream and tableau routes in `poly`;
 - `vertex_decomposition_by_deletion_link` walks deletions and links with no
   memo, against the memoised search in `complexes`;
-- `words_on_letters` lists every word of a given length.
+- `words_on_letters` lists every word of a given length;
+- `wiring_label_by_walk` and `cross_labels_by_walk` follow one height at a
+  time through the swaps, `prod_word_by_simples` multiplies one
+  `Permutation` per letter and `rightmost_subword_by_right_mul` peels one
+  `Permutation` per chosen letter, against the one-pass image-list sweeps
+  `perms.wiring_sweep`, `perms.prod_word`, `perms.is_reduced` and
+  `shuffles.rightmost_subword`; `random_words` draws the seeded words
+  they are compared on.
 """
 import itertools
+import random
 
 from schubcalc import perms, shapes
-from schubcalc.perms import Permutation
+from schubcalc.perms import INF, Permutation
 from schubcalc.pipedreams import PipeDream, staircase_cells
 from schubcalc.poly import Polynomial, from_exponent_word, from_weak_composition
 
@@ -108,3 +116,67 @@ def vertex_decomposition_by_deletion_link(complex_):
             continue
         return (v, del_tree, link_tree)
     return None
+
+
+def wiring_label_by_walk(word, column, height, skip=frozenset()):
+    """The label at a height in a column: that one height walked through the
+    swaps of positions column+1, ..., len(word); skipped positions and INF
+    slots swap nothing."""
+    h = height
+    for p in range(column + 1, len(word) + 1):
+        a = word[p - 1]
+        if p in skip or a == INF:
+            continue
+        if h == a:
+            h = a + 1
+        elif h == a + 1:
+            h = a
+    return h
+
+
+def cross_labels_by_walk(word, position, skip=frozenset()):
+    h = word[position - 1]
+    return (wiring_label_by_walk(word, position, h, skip),
+            wiring_label_by_walk(word, position, h + 1, skip))
+
+
+def prod_word_by_simples(word):
+    result = Permutation.identity()
+    for a in word:
+        result = result * Permutation.simple(a)
+    return result
+
+
+def rightmost_subword_by_right_mul(ambient, p):
+    """Greedy right-to-left embedding of a reduced word for p; None and INF
+    entries are unusable.  Raises ValueError when there is none."""
+    remaining = p
+    chosen = []
+    for pos in range(len(ambient), 0, -1):
+        letter = ambient[pos - 1]
+        if letter is None or letter == INF:
+            continue
+        if remaining(letter) > remaining(letter + 1):
+            remaining = remaining.right_mul_simple(letter)
+            chosen.append(pos)
+    if not remaining.is_identity():
+        raise ValueError("ambient word does not contain the permutation")
+    return tuple(reversed(chosen))
+
+
+def random_words(seed, count, letters=range(-2, 9), max_length=20):
+    """Seeded words of length 0..max_length: every other one uniform (rarely
+    reduced), the rest reduced, grown by keeping only letters that lengthen
+    the product."""
+    rng = random.Random(seed)
+    for k in range(count):
+        length = rng.randint(0, max_length)
+        if k % 2:
+            yield tuple(rng.choice(letters) for _ in range(length))
+            continue
+        word = ()
+        for _ in range(length):
+            longer = word + (rng.choice(letters),)
+            if prod_word_by_simples(longer).length == len(longer):
+                word = longer
+        yield word

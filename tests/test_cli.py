@@ -74,6 +74,42 @@ def test_shuffle_verify(capsys):
     assert code == 0 and "ok" in out
 
 
+@pytest.mark.parametrize("argv, trace", [
+    (("monk", "--i", "3", "--word", "323432", "--pos", "5"),
+     "placed 4 at position 5; word = 3 2 3 4 4 3 2 ; labels(col 5, h=1..6) = [1, 3, 4, 2, 5, 6]\n"
+     "placed 2 at position 4; word = 3 2 3 2 4 3 2 ; labels(col 4, h=1..6) = [1, 3, 4, 5, 2, 6]\n"
+     "placed 1 at position 1; word = 1 2 3 2 4 3 2 ; "
+     "labels(col 1, h=0..6) = [0, 1, 5, 4, 3, 2, 6]\n"),
+    (("pieri", "--i", "5", "--word", "53", "--pos", "3,4,5"),
+     "start: 5 3 oov oov oov ; book = {k > 5}\n"
+     "placed 5 at 5: 5v 3 oov oov 5^ ; book = {k > 5} + [5] ; "
+     "labels(col 5, h=2..7) = [2, 3, 4, 5, 6, 7]\n"
+     "placed 4 at 4: 5v 3 oov 4^ 5^ ; book = {k > 5} + [4, 5] ; "
+     "labels(col 4, h=2..7) = [2, 3, 4, 6, 5, 7]\n"
+     "placed 3 at 3: 5v 3v 3^ 4^ 5^ ; book = {k > 5} + [3, 4, 5] ; "
+     "labels(col 3, h=2..7) = [2, 3, 6, 4, 5, 7]\n"
+     "placed 2 at 2: 5v 2^ 3 4^ 5^ ; book = {k > 5} + [2, 4, 5] ; "
+     "labels(col 2, h=1..7) = [1, 2, 6, 3, 4, 5, 7]\n"
+     "placed 4 at 1: 4^ 2^ 3 4^ 5 ; book = {k > 5} + [2, 3, 4] ; "
+     "labels(col 1, h=1..7) = [1, 6, 2, 3, 4, 5, 7]\n"),
+    (("pieri", "--i", "2", "--word", "2312", "--pos", "2,5", "--variant", "r"),
+     "start: 2 oov 3 1 oov 2 ; book = {k <= 2}\n"
+     "placed 3 at 5: 2 oov 3v 1 3^ 2 ; book = {k <= 2} + [4] ; "
+     "labels(col 5, h=0..5) = [0, 1, 3, 2, 4, 5]\n"
+     "placed 2 at 3: 2v oov 2^ 1 3 2 ; book = {k <= 2} + [4] ; "
+     "labels(col 3, h=0..5) = [0, 3, 1, 4, 2, 5]\n"
+     "placed 4 at 2: 2v 4^ 2^ 1 3 2 ; book = {k <= 2} + [4, 5] ; "
+     "labels(col 2, h=0..6) = [0, 3, 4, 1, 2, 5, 6]\n"
+     "placed 0 at 1: 0^ 4^ 2 1 3 2 ; book = {k <= 2} + [3, 5] ; "
+     "labels(col 1, h=-1..6) = [-1, 0, 3, 4, 1, 5, 2, 6]\n"),
+], ids=["monk", "pieri-c", "pieri-r"])
+def test_shuffle_trace_text(capsys, argv, trace):
+    """The --trace lines on stderr, label lists included, byte for byte."""
+    code, _, err = run(capsys, "shuffle", *argv, "--trace")
+    assert code == 0
+    assert err == trace
+
+
 def test_pipedreams_listing(capsys):
     code, out, _ = run(capsys, "--format", "json", "pipedreams", "list", "[1432]")
     assert code == 0
@@ -176,16 +212,18 @@ def test_pieri_inverse_rejects_non_pieri_input(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("perm", ["[2143]", "[165432]"])
-def test_closed_stdout_exits_1_without_traceback(perm):
+@pytest.mark.parametrize("argv", [
+    pytest.param(("--format", "json", "pipedreams", "list", "--all", perm), id=perm)
+    for perm in ("[2143]", "[165432]")] + [pytest.param(("--help",), id="--help")])
+def test_closed_stdout_exits_1_without_traceback(argv):
     """The reader of stdout is gone before the child writes a byte.  The 335
     bytes for [2143] fail in the final flush, the 22,819 for [165432] in
-    print, which writes through once the buffer is full."""
+    print, which writes through once the buffer is full; the help text is
+    printed by argparse, which then exits before any command runs."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        child = spawn_cli("--format", "json", "pipedreams", "list", "--all", perm,
-                          stdout=write_end)
+        child = spawn_cli(*argv, stdout=write_end)
     finally:
         os.close(write_end)
     _, err = child.communicate(timeout=60)

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from schubcalc import perms
 from schubcalc.perms import (
+    INF,
     Permutation,
     bruhat_cover,
     bruhat_leq,
@@ -23,9 +25,16 @@ from schubcalc.perms import (
     symmetric_group,
     tau,
     wiring_label,
+    wiring_sweep,
 )
 
-from oracles import words_on_letters
+from oracles import (
+    cross_labels_by_walk,
+    prod_word_by_simples,
+    random_words,
+    wiring_label_by_walk,
+    words_on_letters,
+)
 
 
 def test_product_examples():
@@ -131,6 +140,35 @@ def test_wiring_labels():
         (2, 3), (1, 3), (1, 2), (1, 4)]
     assert all(wiring_label(word, len(word), j) == j for j in range(-2, 7))
     assert wiring_label((), 0, 5) == 5
+
+
+def test_prod_word_and_is_reduced_match_products_of_simples():
+    reduced = 0
+    for word in random_words(1, 400):
+        expected = prod_word_by_simples(word)
+        assert prod_word(word) == expected, word
+        assert is_reduced(word) == (expected.length == len(word)), word
+        reduced += is_reduced(word)
+    assert 200 <= reduced < 400
+
+
+def test_wiring_sweep_matches_label_walk():
+    """Every column's labels and every cross pair, with and without skipped
+    positions and INF slots, agree with walking one height at a time."""
+    rng = random.Random(2)
+    heights = range(-4, 11)
+    for k, word in enumerate(random_words(3, 160)):
+        slots = tuple(INF if k % 4 >= 2 and rng.random() < 0.2 else a for a in word)
+        skip = frozenset(p for p in range(1, len(word) + 1) if k % 2 and rng.random() < 0.3)
+        for column in range(len(slots) + 1):
+            labels, crosses = wiring_sweep(slots, column, skip, heights)
+            assert labels == [wiring_label_by_walk(slots, column, h, skip) for h in heights]
+            assert crosses == [None] * column + [cross_labels_by_walk(slots, p, skip)
+                                                 for p in range(column + 1, len(slots) + 1)]
+            h = heights[column % len(heights)]
+            assert wiring_label(slots, column, h, skip) == labels[h - heights.start]
+        assert ([cross_labels(slots, p, skip) for p in range(1, len(slots) + 1)]
+                == wiring_sweep(slots, skip=skip)[1])
 
 
 def test_cross_labels_give_inversions():

@@ -1,9 +1,13 @@
+import ast
 import itertools
 import math
+import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from schubcalc import perms
+from schubcalc import perms, shuffles
 from schubcalc.perms import (
     Permutation,
     parse_permutation,
@@ -27,6 +31,8 @@ from schubcalc.shuffles import (
     pieri_unshuffle,
     rightmost_subword,
 )
+
+from oracles import prod_word_by_simples, random_words, rightmost_subword_by_right_mul
 
 
 # -- Monk insertion ----------------------------------------------------------
@@ -165,6 +171,24 @@ def test_pieri_worked_run():
     assert marked.word_and_positions() == (parse_word("53"), (3, 4, 5))
 
 
+def test_pieri_unshuffle_trace_text():
+    """The backward trace, its label lists included, byte for byte."""
+    trace: list[str] = []
+    pieri_unshuffle(2, (0, 4, 2, 1, 3, 2), prod_word((2, 3, 1, 2)), variant="r",
+                    validate=True, trace=trace)
+    assert trace == [
+        "start: 0^ 4^ 2 1 3 2 ; book = {k <= 2} + [3, 5]",
+        "raised 1 to 2: 2v 4^ 2^ 1 3 2 ; book = {k <= 2} + [4, 5] ; "
+        "labels(col 1, h=0..6) = [0, 3, 4, 1, 5, 2, 6]",
+        "raised 2 to oo: 2v oov 2^ 1 3 2 ; book = {k <= 2} + [4] ; "
+        "labels(col 2, h=0..5) = [0, 3, 4, 1, 2, 5]",
+        "raised 3 to 3: 2 oov 3v 1 3^ 2 ; book = {k <= 2} + [4] ; "
+        "labels(col 3, h=0..5) = [0, 3, 1, 4, 2, 5]",
+        "raised 5 to oo: 2 oov 3 1 oov 2 ; book = {k <= 2} ; "
+        "labels(col 5, h=0..5) = [0, 1, 3, 2, 4, 5]",
+    ]
+
+
 def _pieri_domain(words, k):
     for w in words:
         for positions in itertools.combinations(range(1, len(w) + k + 1), k):
@@ -292,6 +316,27 @@ def test_rightmost_subword_skips_unusable_slots():
     assert rightmost_subword((1, INF, 1), Permutation.simple(1)) == (3,)
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_rightmost_subword_matches_right_multiplication():
+    """Ambients with None and INF entries, and permutations the ambient may
+    or may not contain."""
+    rng = random.Random(5)
+    contained = 0
+    for word in random_words(6, 300):
+        ambient = tuple(rng.choice((None, INF)) if rng.random() < 0.2 else a for a in word)
+        p = prod_word_by_simples(tuple(a for a in word if rng.random() < 0.6))
+        expected = _outcome(rightmost_subword_by_right_mul, ambient, p)
+        assert _outcome(rightmost_subword, ambient, p) == expected, (ambient, str(p))
+        contained += isinstance(expected, tuple)
+    assert 60 <= contained < 300
+
+
 def test_monk_covers_window():
     assert monk_covers(Permutation.identity(), 5) == ((5, 6),)
     assert monk_covers(parse_permutation("[321]"), 1) == ((0, 2), (0, 3), (1, 4))
@@ -299,3 +344,45 @@ def test_monk_covers_window():
         parse_permutation("[312]"), Permutation.from_one_line((1, 2, 0), lo=0)}
     counts = [len(reduced_words(s)) for s in monk_rhs(parse_permutation("[21]"), 1)]
     assert sorted(counts) == [1, 1]
+
+
+# -- round trips on random reduced words in S6-S8 -----------------------------
+
+
+@st.composite
+def _reduced_word(draw):
+    """A reduced word of a permutation in S6-S8, by peeling random descents."""
+    n = draw(st.integers(6, 8))
+    p = Permutation.from_one_line(draw(st.permutations(range(1, n + 1))))
+    letters = []
+    while not p.is_identity():
+        d = draw(st.sampled_from(p.descents()))
+        letters.append(d)
+        p = p.right_mul_simple(d)
+    return tuple(reversed(letters))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_reduced_word(), st.integers(0, 8), st.data())
+def test_monk_round_trip(word, i, data):
+    position = data.draw(st.integers(1, len(word) + 1))
+    out = monk_shuffle(i, word, position, validate=True)
+    assert monk_unshuffle(i, out, prod_word(word), validate=True) == (word, position)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_reduced_word(), st.integers(0, 8), st.integers(1, 3), st.sampled_from("cr"),
+       st.data())
+def test_pieri_round_trip(word, i, k, variant, data):
+    positions = tuple(sorted(data.draw(
+        st.sets(st.integers(1, len(word) + k), min_size=k, max_size=k))))
+    out = pieri_shuffle(i, word, positions, variant=variant, validate=True)
+    marked = pieri_unshuffle(i, out, prod_word(word), variant=variant, validate=True)
+    assert marked.word_and_positions() == (word, positions)
+
+
+def test_shuffles_has_no_assert_statements():
+    """python -O strips assert statements; the validate=True checks raise
+    InvariantError explicitly instead."""
+    tree = ast.parse(Path(shuffles.__file__).read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
