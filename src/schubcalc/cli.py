@@ -3,8 +3,10 @@
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 on success, 1 on
 a domain error (well-formed input outside an operation's domain), 2 on a
 usage error (argparse failures and malformed permutation/word syntax, which
-report the position of the offending character).  A reader that closes
-stdout early also gives exit 1, with no traceback.
+report the position of the offending character), 3 on an internal error
+(any other exception, such as a failed invariant check, reported as one line
+`error: internal: <type>: <message>`).  A reader that closes stdout early
+also gives exit 1.  No exit prints a traceback.
 """
 from __future__ import annotations
 
@@ -414,6 +416,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

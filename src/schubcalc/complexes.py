@@ -79,13 +79,19 @@ class SimplicialComplex:
                         yield face
 
     def reduced_euler_characteristic(self) -> int:
-        """Alternating sum over all faces, the empty face included."""
+        """Alternating sum over all faces, the empty face included.  Only face
+        sizes matter, so the faces are walked as submasks of int masks."""
         if self.is_void:
             return 0
-        total = 0
-        for face in self.faces():
-            total += (-1) ** (len(face) - 1)
-        return total
+        bit = {v: 1 << k for k, v in enumerate(set().union(*self.facets))}
+        faces: set[int] = set()
+        for facet in self.facets:
+            mask = sub = sum(bit[v] for v in facet)
+            while sub:
+                faces.add(sub)
+                sub = (sub - 1) & mask
+        odd = sum(m.bit_count() & 1 for m in faces)
+        return 2 * odd - len(faces) - 1  # odd sizes minus even ones and the empty face
 
     def deletion(self, face: Iterable[Vertex]) -> "SimplicialComplex":
         """Faces meeting the given face nowhere."""
@@ -262,25 +268,47 @@ def boundary_faces(complex_: SimplicialComplex) -> frozenset[Face]:
 def stanley_reisner_generators(complex_: SimplicialComplex) -> frozenset[Face]:
     """Minimal non-faces: the exponent sets of the squarefree generators of
     the face ideal.  Phantom vertices contribute singleton generators.
+
+    A vertex set is a non-face iff it meets the complement of every facet,
+    so the minimal non-faces are the minimal transversals of the facet
+    complements.  They are enumerated on int masks over the vertices by the
+    MMCS depth-first search (Murakami-Uno, "Efficient algorithms for
+    dualizing large-scale hypergraphs", 2014): branch on the uncovered
+    complement with the fewest candidate vertices left, keep for each chosen
+    vertex the complements only it meets, and cut a branch once a chosen
+    vertex has none left, since no extension of it is then minimal.
     """
     if complex_.is_void:
         raise ValueError("the void complex has a unit face ideal")
-    out: set[Face] = set()
-    vertices = list(complex_.vertices)
-    top = complex_.dimension() + 2
-    for size in range(1, len(vertices) + 1):
-        if size > top:
-            break
-        for combo in itertools.combinations(vertices, size):
-            face = frozenset(combo)
-            if complex_.has_face(face):
-                continue
-            if any(gen <= face for gen in out):
-                continue
-            subsets_ok = all(complex_.has_face(face - {v}) for v in face)
-            if subsets_ok:
-                out.add(face)
-    return frozenset(out)
+    vertices = tuple(dict.fromkeys(complex_.vertices))
+    bit = {v: 1 << k for k, v in enumerate(vertices)}
+    full = (1 << len(vertices)) - 1
+    complements = list({full ^ sum(bit[v] for v in f if v in bit) for f in complex_.facets})
+    # hits[k]: the complements meeting vertex k, as a bitset over their indices
+    hits = [sum(1 << i for i, e in enumerate(complements) if e >> k & 1)
+            for k in range(len(vertices))]
+    found: list[int] = []
+
+    def search(chosen: int, crit: list[int], cand: int, uncov: list[int], uncovered: int) -> None:
+        # crit[j]: the complements met by the j-th chosen vertex alone;
+        # uncov: the complements met by none, also as the bitset uncovered.
+        if not uncov:
+            found.append(chosen)
+            return
+        branch = min((e & cand for e in uncov), key=int.bit_count)
+        cand ^= branch
+        while branch:
+            v = branch & -branch
+            branch ^= v
+            h = hits[v.bit_length() - 1]
+            kept = [c & ~h for c in crit]
+            if all(kept):
+                search(chosen | v, kept + [uncovered & h], cand,
+                       [e for e in uncov if not e & v], uncovered & ~h)
+            cand |= v
+
+    search(0, [], full, complements, (1 << len(complements)) - 1)
+    return frozenset(frozenset(v for v in vertices if bit[v] & m) for m in found)
 
 
 # ---------------------------------------------------------------------------

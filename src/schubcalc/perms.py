@@ -491,7 +491,10 @@ def wiring_label(word: Sequence[int], column: int, height: int,
     Column len(word) carries the identity labelling; the label in column c
     is obtained by swapping heights (w_p, w_p + 1) for p = c+1, ..., len(word)
     in that order.  Positions in `skip` (1-based) contribute no swap.
+    Raises ValueError for a column outside 0..len(word).
     """
+    if not 0 <= column <= len(word):
+        raise ValueError(f"column {column} is outside 0..{len(word)}")
     return wiring_sweep(word, column, skip, range(height, height + 1))[0][0]
 
 
@@ -505,7 +508,11 @@ def cross_labels(word: Sequence[int], position: int,
 
     >>> [cross_labels((3, 2, 1, 2), p) for p in (4, 3, 2, 1)]
     [(2, 3), (1, 3), (1, 2), (1, 4)]
+
+    Raises ValueError for a position outside 1..len(word).
     """
+    if not 1 <= position <= len(word):
+        raise ValueError(f"position {position} is outside 1..{len(word)}")
     return wiring_sweep(word, position - 1, skip)[1][position - 1]
 
 

@@ -11,6 +11,12 @@ code they check:
   dream and tableau routes in `poly`;
 - `vertex_decomposition_by_deletion_link` walks deletions and links with no
   memo, against the memoised search in `complexes`;
+- `stanley_reisner_by_subset_scan` tries every vertex subset up to
+  dimension + 2, and `antidiagonal_generators` takes the inclusion-minimal
+  antidiagonals of the rank minors on Fulton's essential set
+  (Knutson-Miller, "Groebner geometry of Schubert polynomials", 2005,
+  Theorem B), against the minimal-transversal search in
+  `complexes.stanley_reisner_generators`;
 - `words_on_letters` lists every word of a given length;
 - `wiring_label_by_walk` and `cross_labels_by_walk` follow one height at a
   time through the swaps, `prod_word_by_simples` multiplies one
@@ -92,6 +98,50 @@ def glide_from_kompositions(shape):
         term = from_weak_composition(kappa.parts)
         total = total + (term if kappa.excess % 2 == 0 else -term)
     return total
+
+
+def stanley_reisner_by_subset_scan(complex_):
+    """Minimal non-faces: every vertex subset of size at most dimension + 2
+    that is no face while all its codimension-one subsets are."""
+    if complex_.is_void:
+        raise ValueError("the void complex has a unit face ideal")
+    out = set()
+    vertices = list(complex_.vertices)
+    top = complex_.dimension() + 2
+    for size in range(1, min(len(vertices), top) + 1):
+        for combo in itertools.combinations(vertices, size):
+            face = frozenset(combo)
+            if complex_.has_face(face) or any(gen <= face for gen in out):
+                continue
+            if all(complex_.has_face(face - {v}) for v in face):
+                out.add(face)
+    return frozenset(out)
+
+
+def antidiagonal_generators(p, n):
+    """Minimal non-faces of the subword complex of triangular_word(n) and p
+    in S_n, as position sets: at each cell (i, j) of Fulton's essential set,
+    where the NW i x j corner of p has rank r, every antidiagonal of an
+    (r+1)-minor of that corner; the inclusion-minimal ones, with cell (i, j)
+    sent to its position in the staircase read row by row from the top, each
+    row right to left."""
+    w = [p(i) for i in range(1, n + 1)]
+    diagram = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+               if w[i - 1] > j and w.index(j) + 1 > i}
+    essential = [(i, j) for (i, j) in diagram
+                 if (i + 1, j) not in diagram and (i, j + 1) not in diagram]
+    antidiagonals = set()
+    for i, j in essential:
+        r = sum(1 for k in range(i) if w[k] <= j)
+        for rows in itertools.combinations(range(1, i + 1), r + 1):
+            for cols in itertools.combinations(range(1, j + 1), r + 1):
+                antidiagonals.add(frozenset(zip(rows, reversed(cols))))
+    minimal = [a for a in antidiagonals if not any(b < a for b in antidiagonals)]
+    position = {}
+    for i in range(1, n):
+        for j in range(n - i, 0, -1):
+            position[(i, j)] = len(position) + 1
+    return frozenset(frozenset(position[cell] for cell in a) for a in minimal)
 
 
 def words_on_letters(length, letters):

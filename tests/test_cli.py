@@ -8,6 +8,7 @@ import pytest
 
 from schubcalc import cli, poly
 from schubcalc.perms import parse_permutation
+from schubcalc.shuffles import InvariantError
 
 
 def run(capsys, *argv):
@@ -159,6 +160,26 @@ def test_complex_sr_generators(capsys):
     assert json.loads(out) == [[1, 4], [1, 5], [2, 5], [2, 6], [4, 6]]
 
 
+Q7_GENERATORS = [
+    [1, 7, 12, 16, 19], [1, 7, 12, 16, 20], [1, 7, 12, 17, 20], [1, 7, 13, 17, 20],
+    [1, 8, 13, 17, 20], [2, 8, 13, 17, 20], [2, 8, 13, 17, 21], [2, 8, 13, 19, 21],
+    [2, 8, 16, 19, 21], [2, 12, 16, 19, 21], [4, 10], [4, 11], [5, 11], [5, 15],
+    [7, 12, 16, 19, 21], [10, 15]]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_complex_sr_generators_q7(capsys, fmt):
+    """The 16 minimal non-faces of the subword complex of Q_7 and [1432765],
+    one sorted list per line in text and one sorted list of lists in JSON."""
+    code, out, err = run(capsys, "--format", fmt, "complex", "sr-generators",
+                         "--word", "654321654326543654656", "--perm", "[1432765]")
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        assert out == json.dumps(Q7_GENERATORS) + "\n"
+    else:
+        assert out == "".join(f"{g}\n" for g in Q7_GENERATORS)
+
+
 @pytest.mark.parametrize("fmt, argv", [
     ("json", ("poly", "schubert", "[1432]")),
     ("json", ("pipedreams", "list", "[1432]")),
@@ -190,6 +211,20 @@ def test_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "perm", "lehmer", "[2,3,0,1]@0")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("exc, line", [
+    (RuntimeError("boom"), "error: internal: RuntimeError: boom\n"),
+    (InvariantError("two\nlines"), "error: internal: InvariantError: two lines\n"),
+])
+def test_internal_error_exit_code(capsys, monkeypatch, exc, line):
+    """An exception outside the usage and domain errors gives exit 3 and one
+    line on stderr, with no traceback."""
+    def broken(args):
+        raise exc
+    monkeypatch.setattr(cli, "_cmd_perm", broken)
+    code, out, err = run(capsys, "perm", "lehmer", "[1432]")
+    assert (code, out, err) == (3, "", line)
 
 
 def test_selftest(capsys):

@@ -23,7 +23,11 @@ from schubcalc.complexes import (
 )
 from schubcalc.perms import parse_permutation, parse_word
 
-from oracles import vertex_decomposition_by_deletion_link
+from oracles import (
+    antidiagonal_generators,
+    stanley_reisner_by_subset_scan,
+    vertex_decomposition_by_deletion_link,
+)
 
 
 def facets(*sets):
@@ -120,6 +124,35 @@ def test_euler_characteristic():
     assert solid.reduced_euler_characteristic() == 0
 
 
+def _random_complexes(seed, count):
+    """Seeded complexes on up to 7 used vertices: reduced by from_facets or
+    built directly with non-maximal facets, some with phantom vertices
+    (listed but in no facet), plus {} with and without vertices."""
+    rng = random.Random(seed)
+    yield SimplicialComplex.from_facets([frozenset()])
+    yield SimplicialComplex((1, 2, 3), facets(set()))
+    for k in range(count):
+        used = range(1, rng.randint(1, 7) + 1)
+        raw = [frozenset(v for v in used if rng.random() < 0.5)
+               for _ in range(rng.randint(1, 6))]
+        vertices = tuple(used) + tuple(range(8, 8 + rng.randint(0, 2) * (k % 2)))
+        if k % 3:
+            yield SimplicialComplex.from_facets(raw, vertices)
+        else:
+            yield SimplicialComplex(vertices, frozenset(raw))
+
+
+def test_euler_characteristic_matches_face_sum():
+    """The submask walk gives the alternating sum over faces(), on random
+    complexes, {} and the void complex."""
+    cases = [*_random_complexes(5, 300), SimplicialComplex.void((1, 2))]
+    for complex_ in cases:
+        expected = sum((-1) ** (len(f) - 1) for f in complex_.faces())
+        assert complex_.reduced_euler_characteristic() == expected, complex_
+    assert SimplicialComplex.from_facets([frozenset()]).reduced_euler_characteristic() == -1
+    assert SimplicialComplex.void().reduced_euler_characteristic() == 0
+
+
 def test_subword_complex_facets_example():
     c = subword_complex(parse_word("321323"), parse_permutation("[1432]"))
     assert c.facets == facets({1, 3, 6}, {3, 5, 6}, {3, 4, 5}, {2, 3, 4}, {1, 2, 3})
@@ -201,6 +234,31 @@ def test_stanley_reisner_examples():
     assert stanley_reisner_generators(triangle_boundary) == facets({1, 2, 3})
     phantom = SimplicialComplex((1, 2), facets({1}))
     assert stanley_reisner_generators(phantom) == facets({2})
+    with pytest.raises(ValueError):
+        stanley_reisner_generators(SimplicialComplex.void((1, 2)))
+
+
+def test_stanley_reisner_matches_subset_scan():
+    """The minimal-transversal search equals the subset scan on every
+    Delta(Q_n, p), p in S4 and S5, and on seeded random complexes with
+    phantom vertices, {} and non-maximal facets."""
+    cases = [subword_complex(pipedreams.triangular_word(n), p)
+             for n in (4, 5) for p in perms.symmetric_group(n)]
+    cases += _random_complexes(6, 400)
+    for complex_ in cases:
+        assert stanley_reisner_generators(complex_) == stanley_reisner_by_subset_scan(complex_), \
+            complex_
+
+
+def test_stanley_reisner_matches_antidiagonals():
+    """Knutson-Miller Theorem B: on Delta(Q_n, p) the minimal non-faces are
+    the minimal antidiagonals on the essential set, for all of S3-S5 and a
+    seeded sample of S6."""
+    cases = [(n, p) for n in (3, 4, 5) for p in perms.symmetric_group(n)]
+    cases += [(6, p) for p in random.Random(6).sample(list(perms.symmetric_group(6)), 40)]
+    for n, p in cases:
+        complex_ = subword_complex(pipedreams.triangular_word(n), p)
+        assert stanley_reisner_generators(complex_) == antidiagonal_generators(p, n), p
 
 
 def test_pipe_dream_complex_stanley_reisner():

@@ -142,6 +142,20 @@ def test_wiring_labels():
     assert wiring_label((), 0, 5) == 5
 
 
+@pytest.mark.parametrize("word, position", [
+    ((3, 2, 1, 2), 0), ((3, 2, 1, 2), -1), ((3, 2, 1, 2), 5), ((3, 2, 1, 2), 6), ((), 1)])
+def test_cross_labels_rejects_positions_outside_the_word(word, position):
+    with pytest.raises(ValueError):
+        cross_labels(word, position)
+
+
+@pytest.mark.parametrize("word, column", [
+    ((3, 2, 1, 2), -1), ((3, 2, 1, 2), -4), ((3, 2, 1, 2), 5), ((), -1), ((), 1)])
+def test_wiring_label_rejects_columns_outside_the_word(word, column):
+    with pytest.raises(ValueError):
+        wiring_label(word, column, 2)
+
+
 def test_prod_word_and_is_reduced_match_products_of_simples():
     reduced = 0
     for word in random_words(1, 400):
