@@ -43,10 +43,6 @@ def _emit(args, payload_text: str, payload_json) -> None:
         print(payload_text)
 
 
-def _poly_payload(p: poly.Polynomial):
-    return str(p), p.to_json()
-
-
 # -- perm ----------------------------------------------------------------
 
 
@@ -76,25 +72,21 @@ def _cmd_perm(args) -> int:
 # -- poly ----------------------------------------------------------------
 
 
+_POLY_FAMILIES = {
+    "schubert": lambda args: poly.schubert(perms.parse_permutation(args.arg)),
+    "grothendieck": lambda args: poly.grothendieck(perms.parse_permutation(args.arg)),
+    "schur": lambda args: poly.schur(_parse_shape(args.arg), args.vars),
+    "fqs": lambda args: poly.fundamental_quasisymmetric(_parse_shape(args.arg), args.vars),
+    "slide": lambda args: poly.slide(_parse_shape(args.arg)),
+    "glide": lambda args: poly.glide(_parse_shape(args.arg)),
+    "backstable": lambda args: poly.backstable_truncation(perms.parse_permutation(args.arg),
+                                                          args.lower_bound),
+}
+
+
 def _cmd_poly(args) -> int:
-    if args.family == "schubert":
-        result = poly.schubert(perms.parse_permutation(args.arg))
-    elif args.family == "grothendieck":
-        result = poly.grothendieck(perms.parse_permutation(args.arg))
-    elif args.family == "schur":
-        result = poly.schur(_parse_shape(args.arg), args.vars)
-    elif args.family == "fqs":
-        result = poly.fundamental_quasisymmetric(_parse_shape(args.arg), args.vars)
-    elif args.family == "slide":
-        result = poly.slide(_parse_shape(args.arg))
-    elif args.family == "glide":
-        result = poly.glide(_parse_shape(args.arg))
-    elif args.family == "backstable":
-        result = poly.backstable_truncation(perms.parse_permutation(args.arg),
-                                            args.lower_bound)
-    else:  # pragma: no cover - argparse restricts choices
-        raise AssertionError
-    _emit(args, *_poly_payload(result))
+    result = _POLY_FAMILIES[args.family](args)
+    _emit(args, str(result), result.to_json())
     return 0
 
 
@@ -342,8 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_perm)
 
     p = add_parser("poly", help="polynomial families")
-    p.add_argument("family", choices=("schubert", "grothendieck", "schur", "fqs",
-                                      "slide", "glide", "backstable"))
+    p.add_argument("family", choices=tuple(_POLY_FAMILIES))
     p.add_argument("arg", help="permutation or comma-separated shape")
     p.add_argument("--vars", type=int, default=3, help="number of variables")
     p.add_argument("--lower-bound", type=int, default=1, dest="lower_bound")

@@ -431,10 +431,15 @@ def bruhat_leq(p: Permutation, q: Permutation) -> bool:
     if not los:
         return True
     lo, hi = min(los), max(his)
-    # slack[j - lo] = #{k <= i : q(k) >= j} - #{k <= i : p(k) >= j}
-    slack = [0] * (hi - lo + 1)
-    for i in range(lo, hi + 1):
-        pv, qv = p(i), q(i)
+    return _bruhat_leq_images(p.one_line(lo, hi), q.one_line(lo, hi), lo)
+
+
+def _bruhat_leq_images(u: Sequence[int], v: Sequence[int], lo: int) -> bool:
+    """The rank-count sweep of bruhat_leq on the images u and v of one
+    window lo, lo+1, ...; the caller compares lengths first."""
+    # slack[j - lo] = #{k <= i : v(k) >= j} - #{k <= i : u(k) >= j}
+    slack = [0] * len(u)
+    for pv, qv in zip(u, v):
         if pv > qv:
             for j in range(qv + 1 - lo, pv + 1 - lo):
                 slack[j] -= 1

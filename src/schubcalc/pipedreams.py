@@ -8,10 +8,16 @@ the compatible sequence, and the pair determines the pipe dream.
 
 The permutation of a pipe dream is the Demazure product of its reading word;
 the dream is reduced when the word is, equivalently when its excess is 0.
+
+One search enumerates pipe dreams: all_pipe_dreams, a Demazure-pruned walk
+over the staircase cells on plain tuples of images; reduced_pipe_dreams is
+its excess-0 case.  chute_moves and ladder_moves act on one dream; their
+closure from the bottom pipe dream (Bergeron-Billey, "RC-graphs and
+Schubert polynomials", 1993) is the independent route that
+tests/oracles.py checks the reduced dreams against.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -155,21 +161,8 @@ def ladder_moves(dream: PipeDream) -> frozenset[PipeDream]:
 
 
 def reduced_pipe_dreams(p: Permutation, n: int | None = None) -> frozenset[PipeDream]:
-    """All reduced pipe dreams for p: the chute/ladder closure of the bottom
-    pipe dream.
-    """
-    if n is None:
-        n = ambient_size(p)
-    start = bottom_pipe_dream(p, n)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        current = frontier.pop()
-        for neighbour in chute_moves(current) | ladder_moves(current):
-            if neighbour not in seen:
-                seen.add(neighbour)
-                frontier.append(neighbour)
-    return frozenset(seen)
+    """All reduced pipe dreams for p: all_pipe_dreams with no excess."""
+    return all_pipe_dreams(p, n, max_excess=0)
 
 
 def triangular_word(n: int) -> Word:
@@ -198,55 +191,81 @@ def all_pipe_dreams(p: Permutation, n: int | None = None,
     higher antidiagonal would put a letter outside the support of p into the
     product.  By Knutson-Miller ("Subword complexes in Coxeter groups",
     2004) they are the complements of the interior faces of the subword
-    complex of triangular_word(n) and p.
+    complex of triangular_word(n) and p.  reduced_pipe_dreams is the
+    max_excess=0 case of this search.
 
     A depth-first search walks the cells in reading order carrying x, the
-    Demazure product of the crosses taken so far, and at each cell either
-    skips it or takes it (x becomes demazure_step(x, letter)).  Demazure
-    products only grow, both along a word and when letters are inserted, so
-    a branch is entered only while
+    Demazure product of the crosses taken so far, as the tuple of its images
+    over one window holding the letters and the support of p, with its
+    length.  At each cell it either skips the cell or takes it; taking the
+    letter a swaps the images at a and a+1 when they ascend (and lengthens
+    x), else leaves x alone (and raises the excess).  Demazure products only
+    grow, both along a word and when letters are inserted, so a branch is
+    entered only while
     (a) x <= p in Bruhat order, and
     (b) x followed by every remaining letter has Demazure product >= p.
+    Taking the cell keeps (b), which held for x before it, so the search
+    tests (b) only when it skips and (a) only when a letter lengthens x.
     Past the last cell (a) and (b) say x == p, so every leaf is a pipe dream
     for p, and no cross set failing either test is ever built.  The excess
-    of the crosses taken so far never falls, which bounds the search by
-    max_excess.  The Demazure steps and both tests are memoised for the
-    length of one call.
+    never falls, which bounds the search by max_excess.  Both tests are
+    memoised in dicts that live for one call.
     """
     if n is None:
         n = ambient_size(p)
     if max_excess is not None and max_excess < 0:
         return frozenset()
     cells = staircase_cells(n)
-    letters = [r + c - 1 for (r, c) in cells]
-    step = functools.cache(perms.demazure_step)
-    below_p = functools.cache(lambda x: perms.bruhat_leq(x, p))
-    above_p = functools.cache(lambda x: perms.bruhat_leq(p, x))
+    end = len(cells)
+    lo = min(1, p.lo)
+    target = p.one_line(lo, max(n, p.lo + len(p.window) - 1))
+    target_length = p.length
+    # each cell's letter a, as the index of the image of a in the window
+    slots = [r + c - 1 - lo for (r, c) in cells]
+    below: dict[tuple[int, ...], bool] = {}
+    reach: dict[tuple[int, tuple[int, ...]], bool] = {}
 
-    @functools.cache
-    def closure(k: int, x: Permutation) -> Permutation:
-        """Demazure product of x followed by letters[k:]."""
-        return x if k == len(letters) else closure(k + 1, step(x, letters[k]))
+    def reaches(k: int, x: tuple[int, ...], length: int) -> bool:
+        """Test (b) for x before cell k."""
+        hit = reach.get((k, x))
+        if hit is None:
+            y = list(x)
+            for i in slots[k:]:
+                if y[i] < y[i + 1]:
+                    y[i], y[i + 1] = y[i + 1], y[i]
+                    length += 1
+            hit = length >= target_length and perms._bruhat_leq_images(target, y, lo)
+            reach[(k, x)] = hit
+        return hit
 
     out = []
     taken: list[tuple[int, int]] = []
 
-    def search(k: int, x: Permutation) -> None:
-        if k == len(cells):
+    def search(k: int, x: tuple[int, ...], length: int) -> None:
+        if k == end:
             out.append(PipeDream(n, frozenset(taken)))
             return
-        if above_p(closure(k + 1, x)):
-            search(k + 1, x)
-        y = step(x, letters[k])
-        if max_excess is not None and len(taken) + 1 - y.length > max_excess:
+        if reaches(k + 1, x, length):
+            search(k + 1, x, length)
+        i = slots[k]
+        if x[i] < x[i + 1]:
+            x = x[:i] + (x[i + 1], x[i]) + x[i + 2:]
+            length += 1
+            ok = below.get(x)
+            if ok is None:
+                ok = below[x] = (length <= target_length
+                                 and perms._bruhat_leq_images(x, target, lo))
+            if not ok:
+                return
+        elif max_excess is not None and len(taken) + 1 - length > max_excess:
             return
-        if below_p(y) and above_p(closure(k + 1, y)):
-            taken.append(cells[k])
-            search(k + 1, y)
-            taken.pop()
+        taken.append(cells[k])
+        search(k + 1, x, length)
+        taken.pop()
 
-    if above_p(closure(0, Permutation.identity())):
-        search(0, Permutation.identity())
+    identity = tuple(range(lo, lo + len(target)))
+    if reaches(0, identity, 0):
+        search(0, identity, 0)
     return frozenset(out)
 
 
@@ -272,7 +291,7 @@ def is_quasi_yamanouchi(dream: PipeDream) -> bool:
 
 def quasi_yamanouchi_pipe_dreams(p: Permutation, n: int | None = None,
                                  reduced_only: bool = True) -> frozenset[PipeDream]:
-    pool = reduced_pipe_dreams(p, n) if reduced_only else all_pipe_dreams(p, n)
+    pool = all_pipe_dreams(p, n, max_excess=0 if reduced_only else None)
     return frozenset(d for d in pool if is_quasi_yamanouchi(d))
 
 

@@ -46,6 +46,21 @@ class Polynomial:
         return Polynomial({((index, 1),): 1})
 
     @staticmethod
+    def sum(polys: Iterable["Polynomial"]) -> "Polynomial":
+        """The sum of the polynomials, folded term by term into one dict:
+        linear in the number of terms, where a chain of + copies the running
+        total once per summand.
+
+        >>> str(Polynomial.sum([Polynomial.variable(1), Polynomial.one(), -Polynomial.one()]))
+        'x_1'
+        """
+        out: dict[Monomial, int] = {}
+        for summand in polys:
+            for mono, coeff in summand.terms.items():
+                out[mono] = out.get(mono, 0) + coeff
+        return Polynomial(out)
+
+    @staticmethod
     def monomial(exponents: Mapping[int, int], coeff: int = 1) -> "Polynomial":
         key = tuple(sorted((i, e) for i, e in exponents.items() if e))
         if any(e < 0 for _, e in key):
@@ -195,11 +210,13 @@ def from_exponent_word(seq: Sequence[int]) -> Polynomial:
     return Polynomial.monomial(exps)
 
 
+def _signed(term: Polynomial, excess: int) -> Polynomial:
+    """(-1)^excess times the term."""
+    return -term if excess % 2 else term
+
+
 def from_tableau_contents(tableaux: Iterable[shapes.Tableau]) -> Polynomial:
-    total = Polynomial.zero()
-    for t in tableaux:
-        total = total + from_weak_composition(shapes.content(t))
-    return total
+    return Polynomial.sum(from_weak_composition(shapes.content(t)) for t in tableaux)
 
 
 # ---------------------------------------------------------------------------
@@ -212,21 +229,17 @@ def schubert(p: Permutation) -> Polynomial:
     >>> str(schubert(perms.parse_permutation("[321]")))
     'x_1^2 x_2'
     """
-    total = Polynomial.zero()
-    for dream in pipedreams.reduced_pipe_dreams(p):
-        total = total + from_weak_composition(dream.weight())
-    return total
+    return Polynomial.sum(from_weak_composition(dream.weight())
+                          for dream in pipedreams.reduced_pipe_dreams(p))
 
 
 def grothendieck(p: Permutation) -> Polynomial:
     """Signed sum of x^weight over all pipe dreams for p, the sign being
     (-1)^excess.
     """
-    total = Polynomial.zero()
-    for dream in pipedreams.all_pipe_dreams(p):
-        term = from_weak_composition(dream.weight())
-        total = total + (term if (len(dream.crosses) - p.length) % 2 == 0 else -term)
-    return total
+    return Polynomial.sum(_signed(from_weak_composition(dream.weight()),
+                                  len(dream.crosses) - p.length)
+                          for dream in pipedreams.all_pipe_dreams(p))
 
 
 def schur(shape: Shape, n: int) -> Polynomial:
@@ -263,12 +276,9 @@ def glide(shape: Shape) -> Polynomial:
     each weighted by (-1)^(entries beyond one per box).
     """
     base = shapes.size(shape)
-    total = Polynomial.zero()
-    for svt in shapes.enumerate_set_valued_wct(shape):
-        term = from_weak_composition(shapes.set_valued_content(svt))
-        sign = (shapes.set_valued_size(svt) - base) % 2
-        total = total + (term if sign == 0 else -term)
-    return total
+    return Polynomial.sum(_signed(from_weak_composition(shapes.set_valued_content(svt)),
+                                  shapes.set_valued_size(svt) - base)
+                          for svt in shapes.enumerate_set_valued_wct(shape))
 
 
 def glide_of_word(word: Word) -> Polynomial:
@@ -293,11 +303,9 @@ def backstable_truncation(p: Permutation, lowest_index: int) -> Polynomial:
     >>> str(backstable_truncation(perms.parse_permutation("[21]"), 0))
     'x_0 + x_1'
     """
-    total = Polynomial.zero()
-    for word in perms.reduced_words(p):
-        for seq in perms.compatible_sequences(word, lower_bound=lowest_index):
-            total = total + from_exponent_word(seq)
-    return total
+    return Polynomial.sum(from_exponent_word(seq)
+                          for word in perms.reduced_words(p)
+                          for seq in perms.compatible_sequences(word, lower_bound=lowest_index))
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +335,5 @@ def expand_grothendieck_into_glides(p: Permutation) -> dict[pipedreams.PipeDream
     """
     out = {}
     for dream in pipedreams.quasi_yamanouchi_pipe_dreams(p, reduced_only=False):
-        term = glide(dream.weight())
-        out[dream] = term if (len(dream.crosses) - p.length) % 2 == 0 else -term
+        out[dream] = _signed(glide(dream.weight()), len(dream.crosses) - p.length)
     return out

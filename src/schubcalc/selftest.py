@@ -18,10 +18,7 @@ def _mono(**powers) -> Polynomial:
 
 
 def _poly_from_weights(*weights) -> Polynomial:
-    total = Polynomial.zero()
-    for w in weights:
-        total = total + poly.from_weak_composition(w)
-    return total
+    return Polynomial.sum(poly.from_weak_composition(w) for w in weights)
 
 
 def check_word_products() -> None:
@@ -232,10 +229,7 @@ def check_schur_expansion() -> None:
     f21 = poly.fundamental_quasisymmetric((2, 1), 3)
     f12 = poly.fundamental_quasisymmetric((1, 2), 3)
     assert values == sorted([str(f21), str(f12)])
-    total = Polynomial.zero()
-    for v in expansion.values():
-        total = total + v
-    assert total == poly.schur((2, 1), 3)
+    assert Polynomial.sum(expansion.values()) == poly.schur((2, 1), 3)
 
 
 def check_tableau_complex_counts() -> None:

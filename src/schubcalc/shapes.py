@@ -503,38 +503,6 @@ def is_glide(kappa: Komposition, shape: Sequence[int]) -> bool:
     return blocks(0, 1)
 
 
-def glide_kompositions(shape: Shape) -> tuple[Komposition, ...]:
-    """All glides of a weak composition, by filtering candidates.
-
-    Candidates have at most len(shape) parts and total size |shape| plus the
-    bold count.
-    """
-    n = len(shape)
-    total = size(shape)
-    out = []
-    for extra in range(0, n + 1):
-        for parts in compositions_weak(total + extra, n):
-            nonzero_positions = [i + 1 for i, a in enumerate(parts) if a]
-            if len(nonzero_positions) < extra:
-                continue
-            for bold in itertools.combinations(nonzero_positions, extra):
-                kappa = Komposition(parts, frozenset(bold))
-                if is_glide(kappa, shape):
-                    out.append(kappa)
-    return tuple(out)
-
-
-def compositions_weak(total: int, parts: int) -> Iterator[Shape]:
-    """All weak compositions of `total` into exactly `parts` parts."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in compositions_weak(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def tableau_to_json(tableau: Tableau) -> list[list[int]]:
     return [list(row) for row in tableau]
 

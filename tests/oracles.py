@@ -1,14 +1,18 @@
 """Test-only second routes, deliberately naive and independent of the
 code they check:
 
-- `scan_pipe_dreams` tries every subset of the staircase, against the search
-  in `pipedreams.all_pipe_dreams`;
+- `scan_pipe_dreams` tries every subset of the staircase, and
+  `reduced_pipe_dreams_by_moves` closes the bottom pipe dream under chute
+  and ladder moves (Bergeron-Billey, "RC-graphs and Schubert polynomials",
+  1993), against the search in `pipedreams.all_pipe_dreams`;
 - `grothendieck_by_divided_differences` starts from G_{w0} and applies
   isobaric divided differences (Lascoux-Schuetzenberger; Fomin-Kirillov
   1994), never looking at a pipe dream;
 - `schubert_from_words` sums over reduced words and compatible sequences,
-  and `glide_from_kompositions` over glide kompositions, against the pipe
-  dream and tableau routes in `poly`;
+  and `glide_from_kompositions` over glide kompositions, found by filtering
+  every candidate in `glide_kompositions`, against the pipe dream and
+  tableau routes in `poly`; `compositions_weak` lists the weak compositions
+  of a given size;
 - `vertex_decomposition_by_deletion_link` walks deletions and links with no
   memo, against the memoised search in `complexes`;
 - `stanley_reisner_by_subset_scan` tries every vertex subset up to
@@ -31,7 +35,14 @@ import random
 
 from schubcalc import perms, shapes
 from schubcalc.perms import INF, Permutation
-from schubcalc.pipedreams import PipeDream, staircase_cells
+from schubcalc.pipedreams import (
+    PipeDream,
+    ambient_size,
+    bottom_pipe_dream,
+    chute_moves,
+    ladder_moves,
+    staircase_cells,
+)
 from schubcalc.poly import Polynomial, from_exponent_word, from_weak_composition
 
 
@@ -45,6 +56,22 @@ def scan_pipe_dreams(n):
             p = perms.demazure(tuple(row + col - 1 for (row, col) in chosen))
             out.setdefault(p, set()).add(PipeDream(n, frozenset(chosen)))
     return out
+
+
+def reduced_pipe_dreams_by_moves(p, n=None):
+    """The chute/ladder closure of the bottom pipe dream for p."""
+    if n is None:
+        n = ambient_size(p)
+    start = bottom_pipe_dream(p, n)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        current = frontier.pop()
+        for neighbour in chute_moves(current) | ladder_moves(current):
+            if neighbour not in seen:
+                seen.add(neighbour)
+                frontier.append(neighbour)
+    return frozenset(seen)
 
 
 def isobaric_divided_difference(f, i):
@@ -94,10 +121,37 @@ def schubert_from_words(p):
 def glide_from_kompositions(shape):
     """Glide polynomial computed from the glide predicate on kompositions."""
     total = Polynomial.zero()
-    for kappa in shapes.glide_kompositions(shape):
+    for kappa in glide_kompositions(shape):
         term = from_weak_composition(kappa.parts)
         total = total + (term if kappa.excess % 2 == 0 else -term)
     return total
+
+
+def glide_kompositions(shape):
+    """All glides of a weak composition, by filtering candidates: at most
+    len(shape) parts, total size |shape| plus the bold count."""
+    n = len(shape)
+    total = shapes.size(shape)
+    out = []
+    for extra in range(0, n + 1):
+        for parts in compositions_weak(total + extra, n):
+            nonzero_positions = [i + 1 for i, a in enumerate(parts) if a]
+            for bold in itertools.combinations(nonzero_positions, extra):
+                kappa = shapes.Komposition(parts, frozenset(bold))
+                if shapes.is_glide(kappa, shape):
+                    out.append(kappa)
+    return tuple(out)
+
+
+def compositions_weak(total, parts):
+    """All weak compositions of `total` into exactly `parts` parts."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in compositions_weak(total - first, parts - 1):
+            yield (first,) + rest
 
 
 def stanley_reisner_by_subset_scan(complex_):

@@ -17,14 +17,7 @@ from schubcalc.perms import (
 )
 from schubcalc.poly import Polynomial
 
-from oracles import schubert_from_words
-
-
-def _sum(values):
-    total = Polynomial.zero()
-    for v in values:
-        total = total + v
-    return total
+from oracles import compositions_weak, schubert_from_words
 
 
 def test_criterion_1_golden_corpus(capsys):
@@ -43,7 +36,7 @@ def test_criterion_2_expansion_identities(capsys):
     over standard tableaux; Grothendieck = signed sum of glides over
     quasi-Yamanouchi pipe dreams for S4."""
     for p in symmetric_group(5):
-        total = _sum(poly.slide_of_word(w) for w in reduced_words(p))
+        total = Polynomial.sum(poly.slide_of_word(w) for w in reduced_words(p))
         assert total == poly.schubert(p), str(p)
         assert schubert_from_words(p) == poly.schubert(p), str(p)
 
@@ -51,11 +44,11 @@ def test_criterion_2_expansion_identities(capsys):
         for lam in _partitions(total_size):
             for n in range(1, 5):
                 expansion = poly.expand_schur_into_fundamentals(lam, n)
-                assert _sum(expansion.values()) == poly.schur(lam, n), (lam, n)
+                assert Polynomial.sum(expansion.values()) == poly.schur(lam, n), (lam, n)
 
     for p in symmetric_group(4):
         expansion = poly.expand_grothendieck_into_glides(p)
-        assert _sum(expansion.values()) == poly.grothendieck(p), str(p)
+        assert Polynomial.sum(expansion.values()) == poly.grothendieck(p), str(p)
     with capsys.disabled():
         print("ACCEPTANCE 2 (expansion identities): PASS")
 
@@ -78,17 +71,17 @@ def test_criterion_3_monk_and_pieri_polynomial_identities(capsys):
         left = poly.backstable_truncation(p, cutoff)
         for i in range(0, 4):
             lhs = left * poly.backstable_truncation(Permutation.simple(i), cutoff)
-            rhs = _sum(poly.backstable_truncation(p * Permutation.transposition(a, b),
-                                                  cutoff)
-                       for (a, b) in shuffles.monk_covers(p, i))
+            rhs = Polynomial.sum(
+                poly.backstable_truncation(p * Permutation.transposition(a, b), cutoff)
+                for (a, b) in shuffles.monk_covers(p, i))
             assert lhs == rhs, ("monk", str(p), i)
         for variant in ("c", "r"):
             for k in (1, 2):
                 for i in range(0, 4):
                     factor = shuffles.cycle_factor(i, k, variant)
                     lhs = left * poly.backstable_truncation(factor, cutoff)
-                    rhs = _sum(poly.backstable_truncation(sigma, cutoff)
-                               for sigma in shuffles.pieri_targets(p, i, k, variant))
+                    rhs = Polynomial.sum(poly.backstable_truncation(sigma, cutoff)
+                                         for sigma in shuffles.pieri_targets(p, i, k, variant))
                     assert lhs == rhs, (variant, str(p), i, k)
     with capsys.disabled():
         print("ACCEPTANCE 3 (Monk/Pieri truncated product identities): PASS")
@@ -240,10 +233,6 @@ def test_criterion_5_backwards_saturated_complexes(capsys):
         print("ACCEPTANCE 5b (backwards-saturated word-set complexes): PASS")
 
 
-def _weak_compositions(total, parts):
-    yield from shapes.compositions_weak(total, parts)
-
-
 def test_criterion_6_tableau_complex_suites(capsys):
     """Tableau complexes of the three determined-by-content families are
     vertex-decomposable balls or spheres; the standard-tableau complex is
@@ -270,7 +259,7 @@ def test_criterion_6_tableau_complex_suites(capsys):
 
     for total in range(1, 5):
         for parts in range(1, 5):
-            for lam in _weak_compositions(total, parts):
+            for lam in compositions_weak(total, parts):
                 complex_ = complexes.tableau_complex("wct", lam, parts)
                 if complex_.is_void:
                     continue
@@ -305,7 +294,7 @@ def test_criterion_6_tableau_complex_suites(capsys):
                     result = complexes.classify_ball_or_sphere(sub)
                     assert result.kind in ("ball", "sphere"), (lam, n)
                     all_facets.extend(sub.facets)
-                    generating = _sum(
+                    generating = Polynomial.sum(
                         poly.from_weak_composition(shapes.set_valued_content(
                             complexes.elements_to_set_valued(
                                 frozenset(ambient) - f, lam)))

@@ -345,11 +345,10 @@ def test_ssyt_decomposition_small():
     for t, sub in decomposition.items():
         result = classify_ball_or_sphere(sub)
         assert result.kind in ("ball", "sphere")
-        generating = poly.Polynomial.zero()
-        for facet in sub.facets:
-            svt = complexes.elements_to_set_valued(frozenset(ambient) - facet, (2, 1))
-            weights = shapes.set_valued_content(svt)
-            generating = generating + poly.from_weak_composition(weights)
+        generating = poly.Polynomial.sum(
+            poly.from_weak_composition(shapes.set_valued_content(
+                complexes.elements_to_set_valued(frozenset(ambient) - facet, (2, 1))))
+            for facet in sub.facets)
         comp = shapes.set_to_composition(shapes.descent_set(t), 3)
         assert generating == poly.fundamental_quasisymmetric(comp, 3)
 

@@ -19,7 +19,7 @@ from schubcalc.pipedreams import (
     triangular_word,
 )
 
-from oracles import scan_pipe_dreams
+from oracles import reduced_pipe_dreams_by_moves, scan_pipe_dreams
 
 
 def test_reading_word_examples():
@@ -85,12 +85,14 @@ def test_move_counts():
 
 
 def test_closure_equals_subword_enumeration():
-    """Chute/ladder closure from the bottom pipe dream gives the same set as
-    filtering excess-0 subwords of the triangular word."""
-    for p in symmetric_group(4):
-        closure = reduced_pipe_dreams(p, 4)
-        direct = frozenset(d for d in all_pipe_dreams(p, 4, max_excess=0))
-        assert closure == direct
+    """The chute/ladder closure of the bottom pipe dream (the test oracle)
+    gives the same set as the excess-0 search over subwords of the
+    triangular word, for every p in S4-S6 at its own size and one larger."""
+    for p in itertools.chain(*(symmetric_group(m) for m in (4, 5, 6))):
+        for n in (None, pipedreams.ambient_size(p) + 1):
+            closure = reduced_pipe_dreams_by_moves(p, n)
+            assert reduced_pipe_dreams(p, n) == closure, (str(p), n)
+            assert all_pipe_dreams(p, n, max_excess=0) == closure, (str(p), n)
 
 
 def test_triangular_word():
@@ -137,10 +139,7 @@ def test_quasi_yamanouchi_count_135624_by_enumeration():
     p = parse_permutation("[135624]")
     qy = quasi_yamanouchi_pipe_dreams(p)
     assert len(qy) == len({d.reading_word() for d in reduced_pipe_dreams(p)})
-    total = poly.Polynomial.zero()
-    for d in qy:
-        total = total + poly.slide(d.weight())
-    assert total == poly.schubert(p)
+    assert poly.Polynomial.sum(poly.slide(d.weight()) for d in qy) == poly.schubert(p)
 
 
 def test_all_pipe_dreams_excess_bound():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from schubcalc.poly import (
 from schubcalc.shuffles import monk_covers
 
 from oracles import (
+    compositions_weak,
     glide_from_kompositions,
     grothendieck_by_divided_differences,
     schubert_from_words,
@@ -54,21 +56,18 @@ _terms = st.lists(
 
 
 def _build(terms):
-    total = Polynomial.zero()
-    for exps, coeff in terms:
-        total = total + mono(exps, coeff)
-    return total
+    return Polynomial.sum(mono(exps, coeff) for exps, coeff in terms)
 
 
 def _naive_mul(p, q):
-    out = Polynomial.zero()
+    terms = []
     for m1, c1 in p.terms.items():
         for m2, c2 in q.terms.items():
             exps = dict(m1)
             for i, e in m2:
                 exps[i] = exps.get(i, 0) + e
-            out = out + mono(exps, c1 * c2)
-    return out
+            terms.append(mono(exps, c1 * c2))
+    return Polynomial.sum(terms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -192,11 +191,9 @@ def _fqs_oracle(comp, n):
     """Sum over weakly increasing sequences, strict at the descent set."""
     strict = shapes.composition_to_set(comp)
     k = sum(comp)
-    total = Polynomial.zero()
-    for seq in itertools.combinations_with_replacement(range(1, n + 1), k):
-        if all(seq[j] > seq[j - 1] for j in strict):
-            total = total + from_exponent_word(seq)
-    return total
+    return Polynomial.sum(from_exponent_word(seq)
+                          for seq in itertools.combinations_with_replacement(range(1, n + 1), k)
+                          if all(seq[j] > seq[j - 1] for j in strict))
 
 
 def test_fundamental_quasisymmetric_against_sequence_formula():
@@ -234,11 +231,9 @@ def test_slide_examples():
 
 
 def _slide_oracle(shape):
-    total = Polynomial.zero()
-    for d in shapes.compositions_weak(sum(shape), len(shape)):
-        if shapes.dominates(d, shape) and _refine_ok(d, shape):
-            total = total + from_weak_composition(d)
-    return total
+    return Polynomial.sum(from_weak_composition(d)
+                          for d in compositions_weak(sum(shape), len(shape))
+                          if shapes.dominates(d, shape) and _refine_ok(d, shape))
 
 
 def _refine_ok(d, shape):
@@ -253,7 +248,7 @@ def _refine_ok(d, shape):
 def test_slide_two_routes_agree():
     for total in range(0, 6):
         for parts in range(0, 5):
-            for lam in shapes.compositions_weak(total, parts):
+            for lam in compositions_weak(total, parts):
                 assert slide(lam) == _slide_oracle(lam), lam
 
 
@@ -280,14 +275,14 @@ def test_glide_examples():
 def test_glide_two_routes_agree():
     for total in range(0, 5):
         for parts in range(0, 4):
-            for lam in shapes.compositions_weak(total, parts):
+            for lam in compositions_weak(total, parts):
                 assert glide(lam) == glide_from_kompositions(lam), lam
 
 
 def test_glide_lowest_degree_is_slide():
     for total in range(0, 5):
         for parts in range(0, 5):
-            for lam in shapes.compositions_weak(total, parts):
+            for lam in compositions_weak(total, parts):
                 assert glide(lam).lowest_degree_part() == slide(lam), lam
 
 
@@ -310,10 +305,9 @@ def test_monk_rule_as_truncated_polynomials():
         for i in range(0, 4):
             lhs = backstable_truncation(p, cutoff) * \
                 backstable_truncation(Permutation.simple(i), cutoff)
-            rhs = Polynomial.zero()
-            for (a, b) in monk_covers(p, i):
-                rhs = rhs + backstable_truncation(p * Permutation.transposition(a, b),
-                                                  cutoff)
+            rhs = Polynomial.sum(
+                backstable_truncation(p * Permutation.transposition(a, b), cutoff)
+                for (a, b) in monk_covers(p, i))
             assert lhs == rhs, (str(p), i)
 
 
@@ -324,20 +318,14 @@ def test_expand_schubert_into_slides_examples():
     expansion = expand_schubert_into_slides(parse_permutation("[1432]"))
     assert expansion[(3, 2, 3)] == slide((0, 2, 1))
     assert expansion[(2, 3, 2)] == slide((1, 2, 0))
-    total = Polynomial.zero()
-    for v in expansion.values():
-        total = total + v
-    assert total == schubert(parse_permutation("[1432]"))
+    assert Polynomial.sum(expansion.values()) == schubert(parse_permutation("[1432]"))
     identity_expansion = expand_schubert_into_slides(Permutation.identity())
     assert identity_expansion == {(): Polynomial.one()}
 
 
 def test_expand_schubert_into_slides_s4():
     for p in symmetric_group(4):
-        total = Polynomial.zero()
-        for v in expand_schubert_into_slides(p).values():
-            total = total + v
-        assert total == schubert(p)
+        assert Polynomial.sum(expand_schubert_into_slides(p).values()) == schubert(p)
 
 
 def test_expand_schur_examples():
@@ -347,10 +335,7 @@ def test_expand_schur_examples():
     assert expand_schur_into_fundamentals((1,), 2) == {
         ((1,),): fundamental_quasisymmetric((1,), 2)}
     for lam in [(2, 2), (3, 1), (2, 1, 1)]:
-        total = Polynomial.zero()
-        for v in expand_schur_into_fundamentals(lam, 4).values():
-            total = total + v
-        assert total == schur(lam, 4)
+        assert Polynomial.sum(expand_schur_into_fundamentals(lam, 4).values()) == schur(lam, 4)
 
 
 def test_glide_of_word():
@@ -375,7 +360,23 @@ def test_expand_grothendieck_examples():
     only = pipedreams.PipeDream(2, frozenset({(1, 1)}))
     assert expansion == {only: glide((1,))}
     for p in symmetric_group(3):
-        total = Polynomial.zero()
-        for v in expand_grothendieck_into_glides(p).values():
-            total = total + v
-        assert total == grothendieck(p)
+        assert Polynomial.sum(expand_grothendieck_into_glides(p).values()) == grothendieck(p)
+
+
+def test_sum_matches_plus_fold():
+    """Polynomial.sum equals the left fold of +, on seeded random summands
+    that cancel, on summands summing to zero and on the empty sum."""
+    rng = random.Random(11)
+    for _ in range(200):
+        summands = [Polynomial({tuple(sorted({rng.randint(-2, 3): rng.randint(1, 2)
+                                              for _ in range(rng.randint(0, 2))}.items())):
+                                rng.randint(-3, 3) for _ in range(rng.randint(0, 4))})
+                    for _ in range(rng.randint(0, 6))]
+        folded = Polynomial.zero()
+        for f in summands:
+            folded = folded + f
+        assert Polynomial.sum(summands) == folded
+        assert Polynomial.sum(iter(summands)) == folded
+        assert not Polynomial.sum(summands + [-f for f in summands]).terms
+    assert Polynomial.sum([]) == Polynomial.zero()
+    assert Polynomial.sum([mono({1: 1}), mono({1: 1}, -1)]).terms == {}

@@ -4,7 +4,6 @@ from schubcalc import shapes
 from schubcalc.shapes import (
     Komposition,
     classify_set_valued,
-    compositions_weak,
     composition_to_set,
     content,
     descent_set,
@@ -12,7 +11,6 @@ from schubcalc.shapes import (
     enumerate_set_valued_wct,
     enumerate_tableaux,
     flatten,
-    glide_kompositions,
     is_glide,
     kontent,
     refines,
@@ -20,6 +18,8 @@ from schubcalc.shapes import (
     set_to_composition,
     standardize,
 )
+
+from oracles import compositions_weak, glide_kompositions
 
 
 def _compositions(total):
