@@ -93,27 +93,34 @@ def _cmd_poly(args) -> int:
 # -- expand --------------------------------------------------------------
 
 
+def _expand_slides(args):
+    items = sorted(poly.expand_schubert_into_slides(perms.parse_permutation(args.arg)).items())
+    return ("\n".join(f"{perms.format_word(w)}: {p}" for w, p in items),
+            [{"word": list(w), "polynomial": p.to_json()} for w, p in items])
+
+
+def _expand_fqs(args):
+    items = sorted(poly.expand_schur_into_fundamentals(_parse_shape(args.arg), args.vars).items())
+    return ("\n".join(f"{shapes.tableau_to_json(t)}: {p}" for t, p in items),
+            [{"tableau": shapes.tableau_to_json(t), "polynomial": p.to_json()} for t, p in items])
+
+
+def _expand_glides(args):
+    expansion = poly.expand_grothendieck_into_glides(perms.parse_permutation(args.arg))
+    items = sorted(expansion.items(), key=lambda kv: kv[0].sorted_crosses())
+    return ("\n".join(f"{list(d.sorted_crosses())}: {p}" for d, p in items),
+            [{"pipe_dream": pipedreams.to_json(d), "polynomial": p.to_json()} for d, p in items])
+
+
+_EXPAND_RULES = {
+    "schubert-slides": _expand_slides,
+    "schur-fqs": _expand_fqs,
+    "groth-glides": _expand_glides,
+}
+
+
 def _cmd_expand(args) -> int:
-    if args.rule == "schubert-slides":
-        target = perms.parse_permutation(args.arg)
-        expansion = poly.expand_schubert_into_slides(target)
-        text = "\n".join(f"{perms.format_word(w)}: {p}" for w, p in sorted(expansion.items()))
-        data = [{"word": list(w), "polynomial": p.to_json()}
-                for w, p in sorted(expansion.items())]
-    elif args.rule == "schur-fqs":
-        expansion = poly.expand_schur_into_fundamentals(_parse_shape(args.arg), args.vars)
-        text = "\n".join(f"{shapes.tableau_to_json(t)}: {p}" for t, p in sorted(expansion.items()))
-        data = [{"tableau": shapes.tableau_to_json(t), "polynomial": p.to_json()}
-                for t, p in sorted(expansion.items())]
-    elif args.rule == "groth-glides":
-        target = perms.parse_permutation(args.arg)
-        expansion = poly.expand_grothendieck_into_glides(target)
-        items = sorted(expansion.items(), key=lambda kv: kv[0].sorted_crosses())
-        text = "\n".join(f"{list(d.sorted_crosses())}: {p}" for d, p in items)
-        data = [{"pipe_dream": pipedreams.to_json(d), "polynomial": p.to_json()}
-                for d, p in items]
-    else:  # pragma: no cover
-        raise AssertionError
+    text, data = _EXPAND_RULES[args.rule](args)
     _emit(args, text, data)
     return 0
 
@@ -341,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_poly)
 
     p = add_parser("expand", help="expansion identities")
-    p.add_argument("rule", choices=("schubert-slides", "schur-fqs", "groth-glides"))
+    p.add_argument("rule", choices=tuple(_EXPAND_RULES))
     p.add_argument("arg")
     p.add_argument("--vars", type=int, default=3)
     p.set_defaults(func=_cmd_expand)

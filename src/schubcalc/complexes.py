@@ -3,8 +3,10 @@ ball/sphere classification, and the subword, slide, word-set and tableau
 complexes built on words and tableaux.
 
 A complex stores an explicit vertex set (phantom vertices allowed: elements
-of the ground set lying in no face) and its facets.  Faces are the subsets
-of facets and are never materialized unless asked for.
+of the ground set lying in no face) and its facets.  The face routines read
+one cached mask view: the used vertices in sorted order, each facet as an
+int whose bit k is the k-th of them.  Faces are submasks, made frozensets
+only when returned.
 
 The void complex (no facets at all) is distinct from the complex {} whose
 only face is the empty set; `SimplicialComplex.is_void` tells them apart.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, Sequence
@@ -44,6 +47,21 @@ class SimplicialComplex:
     def void(vertices: Iterable[Vertex] = ()) -> "SimplicialComplex":
         return SimplicialComplex(tuple(vertices), frozenset())
 
+    @functools.cached_property
+    def _view(self) -> tuple[tuple, dict, frozenset[int]]:
+        """The used vertices in sorted order, their bits, the facet masks."""
+        order = tuple(sorted(set().union(*self.facets)))
+        bit = {v: 1 << k for k, v in enumerate(order)}
+        return order, bit, frozenset(sum(bit[v] for v in f) for f in self.facets)
+
+    def _mask(self, face: Face) -> int | None:
+        """The mask of a face; None when it is not a face."""
+        _, bit, masks = self._view
+        if not face <= bit.keys():
+            return None
+        m = sum(bit[v] for v in face)
+        return m if any(f & m == m for f in masks) else None
+
     @property
     def is_void(self) -> bool:
         return not self.facets
@@ -59,71 +77,73 @@ class SimplicialComplex:
         return len(sizes) <= 1
 
     def used_vertices(self) -> tuple:
-        seen = set().union(*self.facets) if self.facets else set()
-        return tuple(v for v in self.vertices if v in seen)
+        return tuple(v for v in self.vertices if v in self._view[1])
 
     def has_face(self, face: Iterable[Vertex]) -> bool:
-        probe = frozenset(face)
-        return any(probe <= f for f in self.facets)
+        return self._mask(frozenset(face)) is not None
 
     def faces(self) -> Iterator[Face]:
         """All faces, deduplicated, in no particular order."""
-        seen: set[Face] = set()
-        for facet in self.facets:
-            items = sorted(facet)
-            for r in range(len(items) + 1):
-                for combo in itertools.combinations(items, r):
-                    face = frozenset(combo)
-                    if face not in seen:
-                        seen.add(face)
-                        yield face
+        order, _, masks = self._view
+        seen: set[int] = set()
+        for facet in masks:
+            for sub in _submasks(facet):
+                if sub not in seen:
+                    seen.add(sub)
+                    yield _face(order, sub)
 
     def reduced_euler_characteristic(self) -> int:
-        """Alternating sum over all faces, the empty face included.  Only face
-        sizes matter, so the faces are walked as submasks of int masks."""
-        if self.is_void:
-            return 0
-        bit = {v: 1 << k for k, v in enumerate(set().union(*self.facets))}
-        faces: set[int] = set()
-        for facet in self.facets:
-            mask = sub = sum(bit[v] for v in facet)
-            while sub:
-                faces.add(sub)
-                sub = (sub - 1) & mask
-        odd = sum(m.bit_count() & 1 for m in faces)
-        return 2 * odd - len(faces) - 1  # odd sizes minus even ones and the empty face
+        """Alternating sum over all faces, the empty face included, by
+        chi(D) = chi(del v) - chi(lk v) on facet masks, v the lowest vertex:
+        the faces without v are those of the deletion, the faces with v are
+        those of the link plus v.  A cone gives 0, {} gives -1 and the void
+        complex 0.  Values are memoised for one call."""
+        memo: dict[frozenset[int], int] = {}
+
+        def chi(facets: frozenset[int]) -> int:
+            if not facets or functools.reduce(operator.and_, facets):
+                return 0
+            union = functools.reduce(operator.or_, facets)
+            if not union:
+                return -1
+            if facets not in memo:
+                b = union & -union
+                memo[facets] = chi(_delete(facets, b)) - chi(_link(facets, b))
+            return memo[facets]
+
+        return chi(self._view[2])
 
     def deletion(self, face: Iterable[Vertex]) -> "SimplicialComplex":
         """Faces meeting the given face nowhere."""
         probe = frozenset(face)
-        if not self.has_face(probe):
+        m = self._mask(probe)
+        if m is None:
             raise ValueError("deletion requires a face")
-        remaining = tuple(v for v in self.vertices if v not in probe)
-        stripped = {f - probe for f in self.facets}
-        return SimplicialComplex.from_facets(stripped, remaining) if probe else self
+        return self._restrict(probe, {f & ~m for f in self._view[2]}) if m else self
 
     def link(self, face: Iterable[Vertex]) -> "SimplicialComplex":
         """Faces disjoint from the given face whose union with it is a face."""
         probe = frozenset(face)
-        if not self.has_face(probe):
+        m = self._mask(probe)
+        if m is None:
             raise ValueError("link requires a face")
-        remaining = tuple(v for v in self.vertices if v not in probe)
-        carriers = [f - probe for f in self.facets if probe <= f]
-        return SimplicialComplex.from_facets(carriers, remaining)
+        return self._restrict(probe, {f ^ m for f in self._view[2] if f & m == m})
+
+    def _restrict(self, probe: Face, masks: set[int]) -> "SimplicialComplex":
+        """The complex generated by the masks, on the vertices outside probe."""
+        return SimplicialComplex.from_facets((_face(self._view[0], f) for f in masks),
+                                             (v for v in self.vertices if v not in probe))
 
     def cone_vertices(self) -> tuple:
         if self.is_void:
             return ()
-        common = frozenset.intersection(*self.facets)
-        return tuple(v for v in self.vertices if v in common)
+        common = functools.reduce(operator.and_, self._view[2])
+        return tuple(v for v in self.vertices if self._view[1].get(v, 0) & common)
 
     def ridge_facet_counts(self) -> dict[Face, int]:
         """How many facets contain each codimension-1 face."""
-        counts: Counter[Face] = Counter()
-        for facet in self.facets:
-            for v in facet:
-                counts[facet - {v}] += 1
-        return dict(counts)
+        order, _, masks = self._view
+        return {_face(order, r): c for r, c in _ridge_counts(masks).items()}
 
     def to_json(self) -> dict:
         verts = list(self.vertices)
@@ -151,13 +171,70 @@ def from_json(data: dict) -> SimplicialComplex:
 
 
 # ---------------------------------------------------------------------------
+# faces as int masks
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _submasks(mask: int) -> Iterator[int]:
+    """Every submask of a mask, the mask itself first and 0 last."""
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+    yield 0
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _face(order: tuple, mask: int) -> Face:
+    """The vertices of a mask: its binary digits, lowest first, select them."""
+    return frozenset(itertools.compress(order, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
+
+
+def _ridge_counts(facets: Iterable[int]) -> Counter[int]:
+    return Counter(f ^ b for f in facets for b in _bits(f))
+
+
+def _delete(facets: frozenset[int], b: int) -> frozenset[int]:
+    """Facet masks of the deletion of vertex bit b: the facets without b, and
+    those with b less b unless they are ridges of the former.  On a pure
+    complex that is the maximality test, in O(facets * dimension); on any
+    other the result still generates the faces of the deletion."""
+    kept = [f for f in facets if not f & b]
+    ridges = {f ^ r for f in kept for r in _bits(f)}
+    return frozenset(kept + [f ^ b for f in facets if f & b and f ^ b not in ridges])
+
+
+def _link(facets: frozenset[int], b: int) -> frozenset[int]:
+    return frozenset(f ^ b for f in facets if f & b)
+
+
+def _canon(facets: frozenset[int]) -> frozenset[int]:
+    """The used bits renamed to 0..m-1 in order: each unused bit below the
+    top, highest first, is squeezed out by shifting the bits above it."""
+    union = functools.reduce(operator.or_, facets, 0)
+    for hole in reversed(list(_bits(~union & ((1 << union.bit_length()) - 1)))):
+        below = hole - 1
+        facets = frozenset(f & below | f >> 1 & ~below for f in facets)
+    return facets
+
+
+# ---------------------------------------------------------------------------
 # vertex decomposability
 
 
-# Canonical facet set (vertices renamed order-preservingly to 0..m-1) ->
-# the first vertex whose deletion and link both decompose, _LEAF for {},
-# None when the complex is not vertex-decomposable.
-_VD_CACHE: dict[frozenset[Face], int | None] = {}
+# Canonical facet masks (see _canon) -> the first vertex bit whose deletion
+# and link both decompose, _LEAF for {}, None when the complex is not
+# vertex-decomposable.
+_VD_CACHE: dict[frozenset[int], int | None] = {}
 _LEAF = -1
 
 
@@ -166,7 +243,7 @@ def is_vertex_decomposable(complex_: SimplicialComplex) -> bool:
     decomposable deletion and link.  Vertices are tried in sorted order, so
     for subword complexes the leftmost surviving position is tried first.
     """
-    return _vd_choice(_canon(complex_.facets)) is not None
+    return _vd_choice(_canon(complex_._view[2])) is not None
 
 
 def vertex_decomposition(complex_: SimplicialComplex):
@@ -176,49 +253,38 @@ def vertex_decomposition(complex_: SimplicialComplex):
     Returns None when the complex is not vertex-decomposable.  Subtrees of
     equal facet sets are shared.
     """
+    order = complex_._view[0]
+
     @functools.cache
-    def witness(facets: frozenset[Face]):
+    def witness(facets: frozenset[int]):
         choice = _vd_choice(_canon(facets))
         if choice is None:
             return None
         if choice == _LEAF:
             return "leaf"
-        v = sorted(set().union(*facets))[choice]
-        return (v, witness(_deletion(facets, v)), witness(_link(facets, v)))
+        b = list(_bits(functools.reduce(operator.or_, facets)))[choice]
+        return (order[b.bit_length() - 1], witness(_delete(facets, b)), witness(_link(facets, b)))
 
-    return witness(complex_.facets)
+    return witness(complex_._view[2])
 
 
-def _vd_choice(facets: frozenset[Face]) -> int | None:
-    """The memoised search on a canonical facet set, whose used vertices
-    are 0..m-1 in sorted order."""
+def _vd_choice(facets: frozenset[int]) -> int | None:
+    """The memoised search on canonical facet masks, whose used vertices are
+    bits 0..m-1 in sorted order.  It only recurses on pure complexes, where
+    `_delete` gives exactly the facets of the deletion."""
     if facets in _VD_CACHE:
         return _VD_CACHE[facets]
     choice = None
-    if facets == frozenset({frozenset()}):
+    if facets == frozenset({0}):
         choice = _LEAF
-    elif len({len(f) for f in facets}) == 1:
-        for v in range(len(set().union(*facets))):
-            if (_vd_choice(_canon(_deletion(facets, v))) is not None
-                    and _vd_choice(_canon(_link(facets, v))) is not None):
-                choice = v
+    elif len({f.bit_count() for f in facets}) == 1:
+        for k in range(max(facets).bit_length()):
+            if (_vd_choice(_canon(_delete(facets, 1 << k))) is not None
+                    and _vd_choice(_canon(_link(facets, 1 << k))) is not None):
+                choice = k
                 break
     _VD_CACHE[facets] = choice
     return choice
-
-
-def _deletion(facets: frozenset[Face], v) -> frozenset[Face]:
-    stripped = {f - {v} for f in facets}
-    return frozenset(f for f in stripped if not any(f < g for g in stripped))
-
-
-def _link(facets: frozenset[Face], v) -> frozenset[Face]:
-    return frozenset(f - {v} for f in facets if v in f)
-
-
-def _canon(facets: frozenset[Face]) -> frozenset[Face]:
-    index = {x: k for k, x in enumerate(sorted(set().union(*facets)))}
-    return frozenset(frozenset(index[x] for x in f) for f in facets)
 
 
 # ---------------------------------------------------------------------------
@@ -239,30 +305,33 @@ def classify_ball_or_sphere(complex_: SimplicialComplex) -> Classification:
     once-covered ridges.  Anything else is reported as "neither" (the
     criterion is sufficient, not necessary).
     """
+    kind, reason, once = _classify(complex_)
+    return Classification(kind, frozenset(_face(complex_._view[0], r) for r in once), reason)
+
+
+def _classify(complex_: SimplicialComplex) -> tuple[str, str, list[int]]:
+    """The kind, the reason for "neither", the once-covered ridge masks."""
     if complex_.is_void:
-        return Classification("neither", reason="void complex")
+        return "neither", "void complex", []
     if not complex_.is_pure():
-        return Classification("neither", reason="not pure")
+        return "neither", "not pure", []
     if not is_vertex_decomposable(complex_):
-        return Classification("neither", reason="not vertex-decomposable")
-    counts = complex_.ridge_facet_counts()
+        return "neither", "not vertex-decomposable", []
+    counts = _ridge_counts(complex_._view[2])
     if any(c > 2 for c in counts.values()):
-        return Classification("neither", reason="a codimension-1 face lies in more than two facets")
-    boundary = frozenset(f for f, c in counts.items() if c == 1)
-    if boundary:
-        return Classification("ball", boundary)
-    return Classification("sphere")
+        return "neither", "a codimension-1 face lies in more than two facets", []
+    once = [r for r, c in counts.items() if c == 1]
+    return ("ball" if once else "sphere"), "", once
 
 
 def boundary_faces(complex_: SimplicialComplex) -> frozenset[Face]:
-    """Downward closure of the once-covered codimension-1 faces."""
-    result = classify_ball_or_sphere(complex_)
-    out: set[Face] = set()
-    for ridge in result.boundary_ridges:
-        items = sorted(ridge)
-        for r in range(len(items) + 1):
-            out.update(frozenset(c) for c in itertools.combinations(items, r))
-    return frozenset(out)
+    """Downward closure of the once-covered codimension-1 faces of a ball:
+    their submasks are collected in one set of ints, and each distinct mask
+    becomes a frozenset once."""
+    out: set[int] = set()
+    for ridge in _classify(complex_)[2]:
+        out.update(_submasks(ridge))
+    return frozenset(_face(complex_._view[0], m) for m in out)
 
 
 def stanley_reisner_generators(complex_: SimplicialComplex) -> frozenset[Face]:
@@ -271,22 +340,21 @@ def stanley_reisner_generators(complex_: SimplicialComplex) -> frozenset[Face]:
 
     A vertex set is a non-face iff it meets the complement of every facet,
     so the minimal non-faces are the minimal transversals of the facet
-    complements.  They are enumerated on int masks over the vertices by the
-    MMCS depth-first search (Murakami-Uno, "Efficient algorithms for
-    dualizing large-scale hypergraphs", 2014): branch on the uncovered
-    complement with the fewest candidate vertices left, keep for each chosen
-    vertex the complements only it meets, and cut a branch once a chosen
-    vertex has none left, since no extension of it is then minimal.
+    complements.  They are enumerated on the facet masks by the MMCS
+    depth-first search (Murakami-Uno, "Efficient algorithms for dualizing
+    large-scale hypergraphs", 2014): branch on the uncovered complement with
+    the fewest candidate vertices left, keep for each chosen vertex the
+    complements only it meets, and cut a branch once a chosen vertex has
+    none left, since no extension of it is then minimal.
     """
     if complex_.is_void:
         raise ValueError("the void complex has a unit face ideal")
-    vertices = tuple(dict.fromkeys(complex_.vertices))
-    bit = {v: 1 << k for k, v in enumerate(vertices)}
-    full = (1 << len(vertices)) - 1
-    complements = list({full ^ sum(bit[v] for v in f if v in bit) for f in complex_.facets})
+    order, bit, masks = complex_._view
+    full = (1 << len(order)) - 1
+    complements = list({full ^ f for f in masks})
     # hits[k]: the complements meeting vertex k, as a bitset over their indices
     hits = [sum(1 << i for i, e in enumerate(complements) if e >> k & 1)
-            for k in range(len(vertices))]
+            for k in range(len(order))]
     found: list[int] = []
 
     def search(chosen: int, crit: list[int], cand: int, uncov: list[int], uncovered: int) -> None:
@@ -308,7 +376,8 @@ def stanley_reisner_generators(complex_: SimplicialComplex) -> frozenset[Face]:
             cand |= v
 
     search(0, [], full, complements, (1 << len(complements)) - 1)
-    return frozenset(frozenset(v for v in vertices if bit[v] & m) for m in found)
+    phantoms = {frozenset([v]) for v in complex_.vertices if v not in bit}
+    return frozenset(_face(order, m) for m in found) | phantoms
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +408,7 @@ def subword_complex(ambient: Word, p: Permutation) -> SimplicialComplex:
     The facets are the complements of the embeddings of the reduced words of
     p; the result is void when the ambient word does not contain p.
     """
-    positions = tuple(range(1, len(ambient) + 1))
-    facets = []
-    for word in perms.reduced_words(p):
-        for emb in word_embeddings(ambient, word):
-            facets.append(frozenset(positions) - emb)
-    if not facets:
-        return SimplicialComplex.void(positions)
-    return SimplicialComplex(positions, frozenset(facets))
+    return _complement_complex(ambient, perms.reduced_words(p))
 
 
 def slide_complex(ambient: Word, target: Word) -> SimplicialComplex:
@@ -364,14 +426,15 @@ def word_set_complex(ambient: Word, words: Sequence[Word]) -> SimplicialComplex:
     complex is pure.
     """
     _common_permutation(words)
+    return _complement_complex(ambient, words)
+
+
+def _complement_complex(ambient: Word, words: Iterable[Word]) -> SimplicialComplex:
+    """Facets: the complements of the embeddings of the words; void if none."""
     positions = tuple(range(1, len(ambient) + 1))
-    facets = []
-    for word in words:
-        for emb in word_embeddings(ambient, tuple(word)):
-            facets.append(frozenset(positions) - emb)
-    if not facets:
-        return SimplicialComplex.void(positions)
-    return SimplicialComplex(positions, frozenset(facets))
+    everything = frozenset(positions)
+    return SimplicialComplex(positions, frozenset(
+        everything - emb for word in words for emb in word_embeddings(ambient, tuple(word))))
 
 
 def _common_permutation(words: Sequence[Word]) -> Permutation | None:
@@ -459,8 +522,6 @@ def tableau_complex(family: str, shape: shapes.Shape, n: int,
         if not elements <= ambient:
             raise ValueError("ambient filling must contain every family tableau")
         facets.append(frozenset(ambient) - elements)
-    if not facets:
-        return SimplicialComplex.void(vertices)
     return SimplicialComplex(vertices, frozenset(facets))
 
 

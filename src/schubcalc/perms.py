@@ -313,13 +313,6 @@ def demazure(word: Sequence[int]) -> Permutation:
     return result
 
 
-def demazure_step(p: Permutation, letter: int) -> Permutation:
-    """One letter of the Demazure product."""
-    if p(letter) < p(letter + 1):
-        return p.right_mul_simple(letter)
-    return p
-
-
 _REDUCED_WORDS_CACHE: dict[Permutation, tuple[Word, ...]] = {}
 
 

@@ -15,6 +15,12 @@ code they check:
   of a given size;
 - `vertex_decomposition_by_deletion_link` walks deletions and links with no
   memo, against the memoised search in `complexes`;
+- `faces_by_combinations`, `has_face_by_sets`, `deletion_by_sets`,
+  `link_by_sets`, `ridge_facet_counts_by_sets`, `classify_by_sets` and
+  `boundary_faces_by_combinations` build every face as a frozenset, and
+  `reduced_euler_characteristic_by_submasks` visits every face as a
+  submask, against the routines of `complexes.SimplicialComplex` that read
+  its int-mask view of the facets;
 - `stanley_reisner_by_subset_scan` tries every vertex subset up to
   dimension + 2, and `antidiagonal_generators` takes the inclusion-minimal
   antidiagonals of the rank minors on Fulton's essential set
@@ -28,12 +34,16 @@ code they check:
   `Permutation` per chosen letter, against the one-pass image-list sweeps
   `perms.wiring_sweep`, `perms.prod_word`, `perms.is_reduced` and
   `shuffles.rightmost_subword`; `random_words` draws the seeded words
-  they are compared on.
+  they are compared on;
+- `demazure_step` is one letter of the Demazure product on a `Permutation`.
 """
 import itertools
 import random
 
+from collections import Counter
+
 from schubcalc import perms, shapes
+from schubcalc.complexes import Classification, SimplicialComplex
 from schubcalc.perms import INF, Permutation
 from schubcalc.pipedreams import (
     PipeDream,
@@ -220,6 +230,93 @@ def vertex_decomposition_by_deletion_link(complex_):
             continue
         return (v, del_tree, link_tree)
     return None
+
+
+def faces_by_combinations(complex_):
+    """Every subset of every facet, as a set of frozensets."""
+    out = set()
+    for facet in complex_.facets:
+        items = list(facet)
+        for r in range(len(items) + 1):
+            out.update(frozenset(c) for c in itertools.combinations(items, r))
+    return out
+
+
+def has_face_by_sets(complex_, face):
+    probe = frozenset(face)
+    return any(probe <= f for f in complex_.facets)
+
+
+def deletion_by_sets(complex_, face):
+    """Faces meeting the face nowhere: the facets less the face, reduced to
+    the maximal ones, on the vertices outside it."""
+    probe = frozenset(face)
+    if not probe:
+        return complex_
+    remaining = tuple(v for v in complex_.vertices if v not in probe)
+    return SimplicialComplex.from_facets({f - probe for f in complex_.facets}, remaining)
+
+
+def link_by_sets(complex_, face):
+    probe = frozenset(face)
+    remaining = tuple(v for v in complex_.vertices if v not in probe)
+    return SimplicialComplex.from_facets(
+        [f - probe for f in complex_.facets if probe <= f], remaining)
+
+
+def ridge_facet_counts_by_sets(complex_):
+    counts = Counter()
+    for facet in complex_.facets:
+        for v in facet:
+            counts[facet - {v}] += 1
+    return dict(counts)
+
+
+def reduced_euler_characteristic_by_submasks(complex_):
+    """Alternating sum over all faces, the empty face included, each face
+    visited as a submask of a facet's int mask."""
+    if complex_.is_void:
+        return 0
+    bit = {v: 1 << k for k, v in enumerate(set().union(*complex_.facets))}
+    faces = set()
+    for facet in complex_.facets:
+        mask = sub = sum(bit[v] for v in facet)
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & mask
+    odd = sum(m.bit_count() & 1 for m in faces)
+    return 2 * odd - len(faces) - 1  # odd sizes minus even ones and the empty face
+
+
+def classify_by_sets(complex_):
+    """The ball/sphere criterion with the unmemoised decomposition walk and
+    ridge counts on frozensets."""
+    if complex_.is_void or not complex_.is_pure():
+        return Classification("neither")
+    if vertex_decomposition_by_deletion_link(complex_) is None:
+        return Classification("neither")
+    counts = ridge_facet_counts_by_sets(complex_)
+    if any(c > 2 for c in counts.values()):
+        return Classification("neither")
+    boundary = frozenset(f for f, c in counts.items() if c == 1)
+    return Classification("ball" if boundary else "sphere", boundary)
+
+
+def boundary_faces_by_combinations(complex_):
+    """Every subset of every once-covered ridge of a ball."""
+    out = set()
+    for ridge in classify_by_sets(complex_).boundary_ridges:
+        items = sorted(ridge)
+        for r in range(len(items) + 1):
+            out.update(frozenset(c) for c in itertools.combinations(items, r))
+    return frozenset(out)
+
+
+def demazure_step(p, letter):
+    """One letter of the Demazure product."""
+    if p(letter) < p(letter + 1):
+        return p.right_mul_simple(letter)
+    return p
 
 
 def wiring_label_by_walk(word, column, height, skip=frozenset()):

@@ -17,7 +17,7 @@ from schubcalc.perms import (
 )
 from schubcalc.poly import Polynomial
 
-from oracles import compositions_weak, schubert_from_words
+from oracles import compositions_weak, demazure_step, schubert_from_words
 
 
 def test_criterion_1_golden_corpus(capsys):
@@ -149,8 +149,7 @@ def test_criterion_5_subword_complex_sweep(capsys):
             dem = [identity] * (1 << length)
             for mask in range(1, full + 1):
                 last = mask.bit_length() - 1
-                dem[mask] = perms.demazure_step(dem[mask & ~(1 << last)],
-                                                q_word[last])
+                dem[mask] = demazure_step(dem[mask & ~(1 << last)], q_word[last])
             targets = set(dem)
             for p in targets:
                 checked += 1

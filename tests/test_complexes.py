@@ -25,6 +25,13 @@ from schubcalc.perms import parse_permutation, parse_word
 
 from oracles import (
     antidiagonal_generators,
+    boundary_faces_by_combinations,
+    deletion_by_sets,
+    faces_by_combinations,
+    has_face_by_sets,
+    link_by_sets,
+    reduced_euler_characteristic_by_submasks,
+    ridge_facet_counts_by_sets,
     stanley_reisner_by_subset_scan,
     vertex_decomposition_by_deletion_link,
 )
@@ -143,14 +150,66 @@ def _random_complexes(seed, count):
 
 
 def test_euler_characteristic_matches_face_sum():
-    """The submask walk gives the alternating sum over faces(), on random
-    complexes, {} and the void complex."""
+    """The deletion-link recursion gives the alternating sum over faces(),
+    on random complexes, {} and the void complex."""
     cases = [*_random_complexes(5, 300), SimplicialComplex.void((1, 2))]
     for complex_ in cases:
         expected = sum((-1) ** (len(f) - 1) for f in complex_.faces())
         assert complex_.reduced_euler_characteristic() == expected, complex_
     assert SimplicialComplex.from_facets([frozenset()]).reduced_euler_characteristic() == -1
     assert SimplicialComplex.void().reduced_euler_characteristic() == 0
+
+
+def test_mask_view_matches_frozenset_references():
+    """Every routine that reads the int-mask view equals its frozenset
+    reference: faces, has_face, deletion and link, ridge counts, boundary
+    faces and the Euler characteristic, on seeded random complexes (phantom
+    vertices, non-maximal and non-pure facets, {}), void complexes, tableau
+    complexes (tuple vertices) and Delta(Q_n, p) for all of S4 and S5."""
+    cases = [*_random_complexes(7, 300), SimplicialComplex.void((1, 2)),
+             SimplicialComplex.void(), SimplicialComplex.from_facets([{1, 2}, {3}])]
+    cases += [tableau_complex(family, shape, n) for family, shape, n in [
+        ("ssyt", (2, 1), 3), ("ssyt", (2, 2), 3), ("ct", (1, 2), 3), ("wct", (0, 2, 1), 3),
+        ("syt", (2, 1), 3)]]
+    cases += [subword_complex(pipedreams.triangular_word(n), p)
+              for n in (4, 5) for p in perms.symmetric_group(n)]
+    rng = random.Random(8)
+    kinds = set()
+    for complex_ in cases:
+        faces = faces_by_combinations(complex_)
+        listed = list(complex_.faces())
+        assert len(listed) == len(faces) and set(listed) == faces, complex_
+        assert complex_.ridge_facet_counts() == ridge_facet_counts_by_sets(complex_), complex_
+        boundary = boundary_faces(complex_)
+        assert boundary == boundary_faces_by_combinations(complex_), complex_
+        kinds.add((complex_.is_pure(), bool(boundary)))
+        chi = sum((-1) ** (len(f) - 1) for f in faces) if faces else 0
+        assert complex_.reduced_euler_characteristic() == chi, complex_
+        assert reduced_euler_characteristic_by_submasks(complex_) == chi, complex_
+        pool = list(complex_.vertices) + ["x"]
+        probes = [frozenset(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
+                  for _ in range(6)] + rng.sample(listed, min(2, len(listed)))
+        for probe in probes:
+            assert complex_.has_face(probe) == has_face_by_sets(complex_, probe), (complex_, probe)
+            if has_face_by_sets(complex_, probe):
+                assert complex_.deletion(probe) == deletion_by_sets(complex_, probe)
+                assert complex_.link(probe) == link_by_sets(complex_, probe)
+    assert kinds == {(True, True), (True, False), (False, False)}
+
+
+def test_euler_characteristic_of_subword_complexes():
+    """Knutson-Miller: Delta(Q, p) is a sphere, of reduced Euler
+    characteristic (-1)^dim, when the Demazure product of Q is p, and a ball
+    (0) otherwise; for every p in S5 over Q_5, and for Delta(Q_9,
+    [163728495]), whose 1,288 facets of 25 vertices rule out a face walk."""
+    q = pipedreams.triangular_word(5)
+    for p in perms.symmetric_group(5):
+        dim = len(q) - p.length - 1
+        expected = (-1) ** dim if perms.demazure(q) == p else 0
+        assert subword_complex(q, p).reduced_euler_characteristic() == expected, p
+    large = subword_complex(pipedreams.triangular_word(9), parse_permutation("[163728495]"))
+    assert len(large.facets) == 1288
+    assert large.reduced_euler_characteristic() == 0
 
 
 def test_subword_complex_facets_example():
