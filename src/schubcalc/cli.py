@@ -234,52 +234,59 @@ def _parse_positions(text: str) -> tuple[int, ...]:
         raise ParseError(f"bad positions {text!r}", 0) from exc
 
 
-def _cmd_shuffle(args) -> int:
-    if args.action == "monk":
-        positions = _parse_positions(_require(args, "pos", "--pos"))
-        if len(positions) != 1:
-            raise ParseError("monk insertion takes one position", 0)
-        trace: list[str] | None = [] if args.trace else None
-        result = shuffles.monk_shuffle(args.i, perms.parse_word(_require(args, "word", "--word")),
-                                       positions[0], trace=trace)
-        if trace:
-            print("\n".join(trace), file=sys.stderr)
-        _emit(args, perms.format_word(result), list(result))
-    elif args.action == "monk-inv":
-        word, position = shuffles.monk_unshuffle(
-            args.i, perms.parse_word(_require(args, "word", "--word")),
-            perms.parse_permutation(_require(args, "perm", "--perm")))
-        _emit(args, f"{perms.format_word(word)} @ {position}",
-              {"word": list(word), "position": position})
-    elif args.action == "pieri":
-        positions = _parse_positions(_require(args, "pos", "--pos"))
-        trace = [] if args.trace else None
-        result = shuffles.pieri_shuffle(args.i, perms.parse_word(_require(args, "word", "--word")),
-                                        positions, variant=args.variant, trace=trace)
-        if trace:
-            print("\n".join(trace), file=sys.stderr)
-        _emit(args, perms.format_word(result), list(result))
-    elif args.action == "pieri-inv":
-        word = perms.parse_word(_require(args, "word", "--word"))
-        source = perms.parse_permutation(_require(args, "perm", "--perm"))
-        k = len(word) - source.length
-        if k < 1:
-            raise ValueError(f"word {perms.format_word(word)} is not longer than "
-                             f"{perms.format_permutation(source)} (k = {k}, need k >= 1)")
-        if not shuffles.pieri_relation(source, perms.prod_word(word), args.i, k, args.variant):
-            raise ValueError(f"word {perms.format_word(word)} is not a reduced word for a "
-                             f"Pieri term of {perms.format_permutation(source)} "
-                             f"(i = {args.i}, k = {k}, variant {args.variant})")
-        marked = shuffles.pieri_unshuffle(args.i, word, source, variant=args.variant)
-        word, positions = marked.word_and_positions()
-        _emit(args, f"{perms.format_word(word)} @ {','.join(map(str, positions))}",
-              {"word": list(word), "positions": list(positions)})
-    elif args.action == "verify":
-        return _cmd_shuffle_verify(args)
+def _emit_shuffled(args, result, trace: list[str] | None) -> int:
+    if trace:
+        print("\n".join(trace), file=sys.stderr)
+    _emit(args, perms.format_word(result), list(result))
     return 0
 
 
-def _cmd_shuffle_verify(args) -> int:
+def _shuffle_monk(args) -> int:
+    positions = _parse_positions(_require(args, "pos", "--pos"))
+    if len(positions) != 1:
+        raise ParseError("monk insertion takes one position", 0)
+    trace: list[str] | None = [] if args.trace else None
+    result = shuffles.monk_shuffle(args.i, perms.parse_word(_require(args, "word", "--word")),
+                                   positions[0], trace=trace)
+    return _emit_shuffled(args, result, trace)
+
+
+def _shuffle_monk_inv(args) -> int:
+    word, position = shuffles.monk_unshuffle(
+        args.i, perms.parse_word(_require(args, "word", "--word")),
+        perms.parse_permutation(_require(args, "perm", "--perm")))
+    _emit(args, f"{perms.format_word(word)} @ {position}",
+          {"word": list(word), "position": position})
+    return 0
+
+
+def _shuffle_pieri(args) -> int:
+    positions = _parse_positions(_require(args, "pos", "--pos"))
+    trace: list[str] | None = [] if args.trace else None
+    result = shuffles.pieri_shuffle(args.i, perms.parse_word(_require(args, "word", "--word")),
+                                    positions, variant=args.variant, trace=trace)
+    return _emit_shuffled(args, result, trace)
+
+
+def _shuffle_pieri_inv(args) -> int:
+    word = perms.parse_word(_require(args, "word", "--word"))
+    source = perms.parse_permutation(_require(args, "perm", "--perm"))
+    k = len(word) - source.length
+    if k < 1:
+        raise ValueError(f"word {perms.format_word(word)} is not longer than "
+                         f"{perms.format_permutation(source)} (k = {k}, need k >= 1)")
+    if not shuffles.pieri_relation(source, perms.prod_word(word), args.i, k, args.variant):
+        raise ValueError(f"word {perms.format_word(word)} is not a reduced word for a "
+                         f"Pieri term of {perms.format_permutation(source)} "
+                         f"(i = {args.i}, k = {k}, variant {args.variant})")
+    marked = shuffles.pieri_unshuffle(args.i, word, source, variant=args.variant)
+    word, positions = marked.word_and_positions()
+    _emit(args, f"{perms.format_word(word)} @ {','.join(map(str, positions))}",
+          {"word": list(word), "positions": list(positions)})
+    return 0
+
+
+def _shuffle_verify(args) -> int:
     target = perms.parse_permutation(_require(args, "perm", "--perm"))
     if args.rule == "monk":
         outputs = {}
@@ -313,6 +320,19 @@ def _cmd_shuffle_verify(args) -> int:
     print(f"pieri-{variant} bijection on {args.perm}, i={args.i}, k={args.k}: "
           f"{'ok' if ok else 'FAILED'} ({len(outputs)} shuffles)")
     return 0 if ok else 1
+
+
+_SHUFFLE_ACTIONS = {
+    "monk": _shuffle_monk,
+    "monk-inv": _shuffle_monk_inv,
+    "pieri": _shuffle_pieri,
+    "pieri-inv": _shuffle_pieri_inv,
+    "verify": _shuffle_verify,
+}
+
+
+def _cmd_shuffle(args) -> int:
+    return _SHUFFLE_ACTIONS[args.action](args)
 
 
 # -- wiring --------------------------------------------------------------
@@ -374,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_complex)
 
     p = add_parser("shuffle", help="Monk/Pieri insertion bijections")
-    p.add_argument("action", choices=("monk", "monk-inv", "pieri", "pieri-inv", "verify"))
+    p.add_argument("action", choices=tuple(_SHUFFLE_ACTIONS))
     p.add_argument("--i", type=int, required=False, default=1)
     p.add_argument("--word", required=False)
     p.add_argument("--pos", help="position (monk) or comma-separated positions (pieri)")

@@ -18,7 +18,12 @@ labelling on the right.  Position p sits between columns p-1 and p, and the
 label wiring_label(w, c, h) is the label at height h in column c; it depends
 only on the letters strictly to the right of column c.  wiring_sweep gives a
 column's labels at every height, and the label pair of every cross, in one
-right-to-left pass.  A slot holding INF holds no cross.
+right-to-left pass.  That pass is sweep_span, which carries a label list
+from one column to another and can be stopped and resumed: a caller that
+rewrites the letter at position j sweeps positions len..j+1, reads column
+j, writes the letter and continues from j on the same list, since column j
+and the crosses right of it do not depend on that letter.  A slot holding
+INF holds no cross.
 """
 from __future__ import annotations
 
@@ -123,9 +128,13 @@ class Permutation:
 
     def one_line(self, lo: int = 1, hi: int | None = None) -> tuple[int, ...]:
         """Images of lo..hi (hi defaults to the window end)."""
+        end = self.lo + len(self.window)
         if hi is None:
-            hi = max(self.lo + len(self.window) - 1, lo)
-        return tuple(self(i) for i in range(lo, hi + 1))
+            hi = max(end - 1, lo)
+        a, b = max(lo, self.lo), min(hi + 1, end)
+        if a >= b:
+            return tuple(range(lo, hi + 1))
+        return (*range(lo, a), *self.window[a - self.lo:b - self.lo], *range(b, hi + 1))
 
     def descents(self) -> list[int]:
         """Positions i with self(i) > self(i+1); these stay inside the window."""
@@ -447,7 +456,8 @@ def _bruhat_leq_images(u: Sequence[int], v: Sequence[int], lo: int) -> bool:
 def wiring_sweep(word: Sequence, column: int = 0, skip: Container[int] = frozenset(),
                  heights: range = range(0)) -> tuple[list[int], list]:
     """One right-to-left pass over the wiring diagram of a word, from the
-    identity labelling in column len(word) down to the given column.
+    identity labelling in column len(word) down to the given column: one
+    sweep_span over a label list covering the heights and every letter.
 
     Returns (labels, crosses).  labels[k] is the label at height heights[k]
     in the column (heights has step 1).  crosses[p - 1], for column < p <=
@@ -469,7 +479,28 @@ def wiring_sweep(word: Sequence, column: int = 0, skip: Container[int] = frozens
     lo, hi = min(ends, default=0), max(ends, default=0)
     labels = list(range(lo, hi + 1))
     crosses: list = [None] * len(word)
-    for p in range(len(word), column, -1):
+    sweep_span(word, labels, lo, crosses, len(word), column, skip)
+    return labels[heights.start - lo:heights.stop - lo], crosses
+
+
+def sweep_span(word: Sequence, labels: list[int], lo: int, crosses: list,
+               start: int, stop: int = 0, skip: Container[int] = frozenset()) -> None:
+    """Carry the labels of column `start` across positions start, start-1,
+    ..., stop+1, leaving those of column `stop` in place, and write the pair
+    of each cross passed into crosses[p - 1].
+
+    labels[h - lo] is the label at height h; the list must cover every
+    height the swaps touch.  Skip and INF slots are as in wiring_sweep.
+
+    >>> labels, crosses = [1, 2, 3, 4], [None] * 4
+    >>> sweep_span((3, 2, 1, 2), labels, 1, crosses, 4, 2)
+    >>> labels, crosses
+    ([3, 1, 2, 4], [None, None, (1, 3), (2, 3)])
+    >>> sweep_span((3, 2, 1, 2), labels, 1, crosses, 2)
+    >>> labels, crosses
+    ([3, 2, 4, 1], [(1, 4), (1, 2), (1, 3), (2, 3)])
+    """
+    for p in range(start, stop, -1):
         a = word[p - 1]
         if a == INF:
             crosses[p - 1] = (INF, INF)
@@ -479,7 +510,6 @@ def wiring_sweep(word: Sequence, column: int = 0, skip: Container[int] = frozens
         crosses[p - 1] = (up, down)
         if p not in skip:
             labels[a], labels[a + 1] = down, up
-    return labels[heights.start - lo:heights.stop - lo], crosses
 
 
 def wiring_label(word: Sequence[int], column: int, height: int,

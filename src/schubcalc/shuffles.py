@@ -17,7 +17,16 @@ column variant tracks "big" labels (initially everything above i) consumed
 through their lower label, the row variant mirrors this with "small" labels
 (initially everything at most i) consumed through their upper label.  That
 bookkeeping is exactly what enforces the distinctness constraints in the
-two product rules.
+two product rules.  It is kept as the base side XOR a finite set of flipped
+labels, and the engine keeps the down- and up-marked positions as sets.
+
+Every insertion or extraction step does one right-to-left wiring sweep,
+split at the pending column j (perms.sweep_span): positions len..j+1 give
+the labels of column j and the crosses right of j, which do not depend on
+the letter at j; the new letter is chosen from those labels, and the same
+label list goes on through positions j..1 to give the crosses left of j.
+When a step must also see the crosses left of j under the old letter (a
+bumped or un-bumped cross), that part runs on a copy of the column labels.
 
 The slot value INF compares above every integer and marks a column whose
 cross has not yet been placed; such slots are always down-marked.
@@ -25,7 +34,7 @@ cross has not yet been placed; such slots are always down-marked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from . import perms
 from .perms import INF, Permutation, Word
@@ -97,17 +106,29 @@ def insert_slots(word: Sequence[int], positions: Sequence[int]) -> MarkedWord:
 # wiring labels on slotted words
 
 
-def _height_window(letters: Sequence, pivot: int) -> tuple[int, int]:
-    finite = [int(a) for a in letters if a != INF] + [pivot]
+def _column_sweep(letters: Sequence, j: int, pivot: int,
+                  skip: Container[int] = frozenset()) -> tuple[list, int, int, list]:
+    """Sweep positions len..j+1.  Returns (labels, lo, hi, crosses): the
+    labels of column j at heights lo..hi+1 (labels[h - lo]), a window
+    reaching len + 2 beyond the letters and the pivot on both sides, and the
+    cross list with the pairs right of j filled in.  perms.sweep_span can
+    carry the same label list on through positions j..1.
+    """
+    finite = [a for a in letters if a != INF]
+    finite.append(pivot)
     slack = len(letters) + 2
-    return (min(finite) - slack, max(finite) + slack)
+    lo, hi = min(finite) - slack, max(finite) + slack
+    labels = list(range(lo, hi + 2))
+    crosses: list = [None] * len(letters)
+    perms.sweep_span(letters, labels, lo, crosses, len(letters), j, skip)
+    return labels, lo, hi, crosses
 
 
 def _second_crossing(crosses: list, j: int, candidates: Iterable[int]) -> int | None:
     """Position among the candidates where the two wires crossing at j cross
     again; None when they cross only once.  The second crossing shows the
-    same label pair in the opposite order.  `crosses` is the cross-pair list
-    of perms.wiring_sweep.
+    same label pair in the opposite order.  `crosses` is a cross-pair list
+    as perms.wiring_sweep gives it.
     """
     a, b = crosses[j - 1]
     found = None
@@ -141,8 +162,7 @@ def monk_shuffle(i: int, word: Sequence[int], position: int,
     pending: int | None = position
     while pending is not None:
         j = pending
-        lo, hi = _height_window(letters, i)
-        labels = perms.wiring_sweep(letters, j, heights=range(lo, hi + 2))[0]
+        labels, lo, hi, crosses = _column_sweep(letters, j, i)
         cur = letters[j - 1]
         k = None
         top = hi if cur == INF else min(int(cur) - 1, hi)
@@ -160,7 +180,7 @@ def monk_shuffle(i: int, word: Sequence[int], position: int,
             trace.append(f"placed {k} at position {j}; word = "
                          + " ".join("oo" if a == INF else str(a) for a in letters)
                          + f" ; labels(col {j}, h={low}..{high}) = {shown}")
-        crosses = perms.wiring_sweep(letters)[1]
+        perms.sweep_span(letters, labels, lo, crosses, j)
         partner = _second_crossing(crosses, j, range(1, len(letters) + 1))
         if partner is not None and validate:
             if perms.defects(tuple(letters)) != tuple(sorted((partner, j))):
@@ -189,14 +209,17 @@ def monk_unshuffle(i: int, word: Sequence[int], source: Permutation,
     if not perms.is_reduced(word):
         raise ValueError("expected a reduced word")
     sigma = perms.prod_word(word)
-    t = source.inverse() * sigma
-    moved = [x for x in range(*_support_range(t)) if t(x) != x]
+    # word = source * t(a, b): a and b are the points the two move differently
+    start = min(sigma.lo, source.lo)
+    end = max(sigma.lo + len(sigma.window), source.lo + len(source.window)) - 1
+    moved = [x for x, u, v in zip(range(start, end + 1), sigma.one_line(start, end),
+                                  source.one_line(start, end)) if u != v]
     if len(moved) != 2:
         raise ValueError("word is not obtained from the source by one transposition")
     a, b = min(moved), max(moved)
     if not (a <= i < b):
         raise ValueError(f"transposition ({a},{b}) does not straddle {i}")
-    if sigma.length != source.length + 1:
+    if len(word) != source.length + 1:
         raise ValueError("length must go up by exactly one")
     hits = [p for p, pair in enumerate(perms.wiring_sweep(word)[1], start=1)
             if pair == (a, b)]
@@ -205,8 +228,7 @@ def monk_unshuffle(i: int, word: Sequence[int], source: Permutation,
     j = hits[0]
     letters: list = list(word)
     while letters[j - 1] != INF:
-        lo, hi = _height_window(letters, i)
-        labels = perms.wiring_sweep(letters, j, heights=range(lo, hi + 2))[0]
+        labels, lo, hi, crosses = _column_sweep(letters, j, i)
         cur = int(letters[j - 1])
         k: int | float = INF
         for h in range(cur + 1, hi + 1):
@@ -215,7 +237,7 @@ def monk_unshuffle(i: int, word: Sequence[int], source: Permutation,
                 break
         letters[j - 1] = k
         if k != INF:
-            crosses = perms.wiring_sweep(letters)[1]
+            perms.sweep_span(letters, labels, lo, crosses, j)
             partner = _second_crossing(crosses, j, range(1, len(letters) + 1))
             if partner is None:
                 raise InvariantError("raised cross must recreate a crossing")
@@ -229,60 +251,41 @@ def monk_unshuffle(i: int, word: Sequence[int], source: Permutation,
     return out, position
 
 
-def _support_range(p: Permutation) -> tuple[int, int]:
-    if p.support is None:
-        return (0, 0)
-    lo, hi = p.support
-    return (lo, hi + 1)
-
-
 # ---------------------------------------------------------------------------
 # bookkeeping set for the Pieri insertion
 
 
 class _CofiniteSet:
-    """All integers on one side of a pivot, corrected by finitely many
-    explicit additions and removals."""
+    """All integers on one side of a pivot (above it, or at most it), XOR a
+    finite set of flipped integers."""
 
-    __slots__ = ("pivot", "above", "plus", "minus")
+    __slots__ = ("pivot", "above", "flipped")
 
     def __init__(self, pivot: int, above: bool):
         self.pivot = pivot
         self.above = above
-        self.plus: set[int] = set()
-        self.minus: set[int] = set()
-
-    def _base(self, x: int) -> bool:
-        return x > self.pivot if self.above else x <= self.pivot
+        self.flipped: set[int] = set()
 
     def __contains__(self, x: int) -> bool:
-        if x in self.plus:
-            return True
-        if x in self.minus:
-            return False
-        return self._base(x)
+        return ((x > self.pivot) == self.above) != (x in self.flipped)
 
     def add(self, x: int) -> None:
-        if x in self.minus:
-            self.minus.discard(x)
-        elif not self._base(x):
-            self.plus.add(x)
+        if x not in self:
+            self.flipped ^= {x}
 
     def remove(self, x: int) -> None:
         if x not in self:
             raise InvariantError(f"removing {x} from a set not holding it")
-        if x in self.plus:
-            self.plus.discard(x)
-        else:
-            self.minus.add(x)
+        self.flipped ^= {x}
 
     def describe(self) -> str:
-        side = f"{{k > {self.pivot}}}" if self.above else f"{{k <= {self.pivot}}}"
-        out = side
-        if self.plus:
-            out += f" + {sorted(self.plus)}"
-        if self.minus:
-            out += f" - {sorted(self.minus)}"
+        out = f"{{k > {self.pivot}}}" if self.above else f"{{k <= {self.pivot}}}"
+        plus = sorted(x for x in self.flipped if x in self)
+        minus = sorted(x for x in self.flipped if x not in self)
+        if plus:
+            out += f" + {plus}"
+        if minus:
+            out += f" - {minus}"
         return out
 
 
@@ -342,37 +345,40 @@ class _PieriEngine:
         if variant not in ("c", "r"):
             raise ValueError("variant must be 'c' (column) or 'r' (row)")
         self.i = i
-        self.variant = variant
         self.slots = slots
         self.marks = marks
+        self.down = {p for p, m in enumerate(marks, start=1) if m == DOWN}
+        self.up = {p for p, m in enumerate(marks, start=1) if m == UP}
         self.validate = validate
         self.trace = trace
         # column variant books "big" labels, consumed via lower labels;
-        # row variant books "small" labels, consumed via upper labels.
-        self.book = _CofiniteSet(i, above=(variant == "c"))
+        # row variant books "small" labels, consumed via upper labels.  So a
+        # cross swapping (lower, upper) may be inserted when only the upper
+        # label is booked (column) or only the lower (row); extracted when
+        # the reverse holds.
+        self.column_variant = variant == "c"
+        self.book = _CofiniteSet(i, above=self.column_variant)
         if validate:
             self.source = perms.prod_word(self._unmarked_letters())
             self._claims: dict[int, int] = {}
 
-    # -- mark and visibility helpers
+    # -- marks and visibility
 
-    def _down_positions(self) -> frozenset[int]:
-        return frozenset(p for p, m in enumerate(self.marks, start=1) if m == DOWN)
-
-    def _positions_with(self, mark) -> list[int]:
-        return [p for p, m in enumerate(self.marks, start=1) if m == mark]
+    def _mark(self, p: int, mark) -> None:
+        self.marks[p - 1] = mark
+        self.down.discard(p)
+        self.up.discard(p)
+        if mark is not None:
+            (self.down if mark == DOWN else self.up).add(p)
 
     def _unmarked_letters(self) -> Word:
         return tuple(int(a) for a, m in zip(self.slots, self.marks)
                      if m is None and a != INF)
 
-    def _column_labels(self, column: int, heights: range) -> list[int]:
-        return perms.wiring_sweep(self.slots, column, self._down_positions(), heights)[0]
-
     def _crosses(self) -> list:
         """The label pair of every cross, pending (down-marked) crosses
         swapping nothing; index position - 1."""
-        return perms.wiring_sweep(self.slots, skip=self._down_positions())[1]
+        return perms.wiring_sweep(self.slots, skip=self.down)[1]
 
     def _snapshot(self, note: str, column: int | None = None) -> None:
         if self.trace is None:
@@ -383,39 +389,23 @@ class _PieriEngine:
         if column is not None:
             finite = [int(a) for a in self.slots if a != INF] + [self.i]
             lo, hi = min(finite) - 1, max(finite) + 2
-            labels = self._column_labels(column, range(lo, hi + 1))
+            labels = perms.wiring_sweep(self.slots, column, self.down, range(lo, hi + 1))[0]
             line += f" ; labels(col {column}, h={lo}..{hi}) = {labels}"
         self.trace.append(line)
-
-    # -- the allowed-swap predicates
-
-    def _insert_ok(self, lower: int, upper: int) -> bool:
-        if self.variant == "c":
-            return lower not in self.book and upper in self.book
-        return lower in self.book and upper not in self.book
-
-    def _extract_ok(self, lower: int, upper: int) -> bool:
-        if self.variant == "c":
-            return lower in self.book and upper not in self.book
-        return lower not in self.book and upper in self.book
 
     # -- forward run
 
     def run_forward(self) -> Word:
         self._snapshot("start")
         guard = 0
-        while True:
-            downs = self._positions_with(DOWN)
-            if not downs:
-                break
+        while self.down:
             guard += 1
             if guard > 100 * len(self.slots) + 1000:
                 raise InvariantError("insertion loop failed to terminate")
-            j = max(downs)
+            j = max(self.down)
             self._step_forward(j)
             if self.validate:
-                remaining = self._positions_with(DOWN)
-                if remaining and max(remaining) >= j:
+                if self.down and max(self.down) >= j:
                     raise InvariantError("pending marks must move left")
                 self._check_unmarked_subword()
         result = tuple(int(a) for a in self.slots)
@@ -425,52 +415,54 @@ class _PieriEngine:
 
     def _step_forward(self, j: int) -> None:
         cur = self.slots[j - 1]
+        labels, lo, hi, crosses = _column_sweep(self.slots, j, self.i, self.down)
         if cur != INF:
             # the pending cross was bumped: release the label it was holding
-            crosses = self._crosses()
+            perms.sweep_span(self.slots, labels.copy(), lo, crosses, j, 0, self.down)
             lower, upper = crosses[j - 1]
-            held = upper if self.variant == "c" else lower
+            held = upper if self.column_variant else lower
             if self.validate and self._claims.pop(j) != held:
                 raise InvariantError("the released label must be the one booked at bump time")
             self.book.remove(held)
             self._release_partner_mark(crosses, j, held)
-        lo, hi = _height_window(self.slots, self.i)
-        labels = self._column_labels(j, range(lo, hi + 2))
         top = hi if cur == INF else min(int(cur) - 1, hi)
         k = None
+        upper_in = labels[top + 1 - lo] in self.book
         for h in range(top, lo - 1, -1):
-            if self._insert_ok(labels[h - lo], labels[h + 1 - lo]):
+            lower_in = labels[h - lo] in self.book
+            if upper_in is self.column_variant and lower_in is not self.column_variant:
                 k = h
                 break
+            upper_in = lower_in
         if k is None:
             raise InvariantError("no available swap below the pending cross")
         self.slots[j - 1] = k
-        self.marks[j - 1] = UP
-        crosses = self._crosses()
+        self._mark(j, UP)
+        perms.sweep_span(self.slots, labels, lo, crosses, j, 0, self.down)
         lower, upper = crosses[j - 1]
         if self.validate and not lower < upper:
             raise InvariantError("insertions never create a defect on their right")
-        booked = lower if self.variant == "c" else upper
+        booked = lower if self.column_variant else upper
         self.book.add(booked)
         partner = _second_crossing(crosses, j,
-                                   [p for p in range(1, j) if self.marks[p - 1] != DOWN])
+                                   [p for p in range(1, j) if p not in self.down])
         if partner is not None:
             if self.validate:
                 if self.marks[partner - 1] is not None:
                     raise InvariantError("only plain crosses get bumped")
                 self._claims[partner] = booked
-            self.marks[partner - 1] = DOWN
+            self._mark(partner, DOWN)
         self._snapshot(f"placed {k} at {j}", column=j)
 
     def _release_partner_mark(self, crosses: list, j: int, held: int) -> None:
         """Drop the up mark from the cross that had claimed the held label."""
-        side = 0 if self.variant == "c" else 1
-        hits = [p for p in self._positions_with(UP) if crosses[p - 1][side] == held]
+        side = 0 if self.column_variant else 1
+        hits = [p for p in sorted(self.up) if crosses[p - 1][side] == held]
         if len(hits) != 1:
             raise InvariantError(f"label {held} should be claimed exactly once, found {hits}")
         if self.validate and hits[0] <= j:
             raise InvariantError("the claiming cross sits to the right")
-        self.marks[hits[0] - 1] = None
+        self._mark(hits[0], None)
 
     def _check_unmarked_subword(self) -> None:
         """The unmarked subword, after cancelling each pending mark against
@@ -478,20 +470,20 @@ class _PieriEngine:
         for the original permutation inside the visible (non-pending) word.
         """
         crosses = self._crosses()
-        virtual = set(self._positions_with(None))
-        for j in self._positions_with(DOWN):
+        virtual = {p for p, m in enumerate(self.marks, start=1) if m is None}
+        ups = sorted(self.up)
+        for j in self.down:
             if self.slots[j - 1] == INF:
                 continue
             lower, upper = crosses[j - 1]
-            held = upper if self.variant == "c" else lower
-            for p in self._positions_with(UP):
+            held = upper if self.column_variant else lower
+            for p in ups:
                 lo_p, up_p = crosses[p - 1]
-                probe = lo_p if self.variant == "c" else up_p
+                probe = lo_p if self.column_variant else up_p
                 if probe == held:
                     virtual.add(p)
                     break
-        down = self._down_positions()
-        visible = tuple(None if (p in down or a == INF) else a
+        visible = tuple(None if (p in self.down or a == INF) else a
                         for p, a in enumerate(self.slots, start=1))
         expected = rightmost_subword(visible, self.source)
         if frozenset(virtual) != frozenset(expected):
@@ -501,26 +493,21 @@ class _PieriEngine:
     # -- backward run
 
     def run_backward(self) -> MarkedWord:
-        side = 0 if self.variant == "c" else 1
+        side = 0 if self.column_variant else 1
         crosses = self._crosses()
-        for p in self._positions_with(UP):
+        for p in self.up:
             self.book.add(crosses[p - 1][side])
         self._snapshot("start")
         guard = 0
-        while True:
-            ups = self._positions_with(UP)
-            if not ups:
-                break
+        while self.up:
             guard += 1
             if guard > 100 * len(self.slots) + 1000:
                 raise InvariantError("extraction loop failed to terminate")
-            j = min(ups)
+            j = min(self.up)
             self._step_backward(j)
-            if self.validate:
-                remaining = self._positions_with(UP)
-                if remaining and min(remaining) <= j:
-                    raise InvariantError("up marks are consumed left to right")
-        if any(m == DOWN and a != INF for a, m in zip(self.slots, self.marks)):
+            if self.validate and self.up and min(self.up) <= j:
+                raise InvariantError("up marks are consumed left to right")
+        if any(self.slots[p - 1] != INF for p in self.down):
             raise InvariantError("pending finite crosses survived the unwinding")
         result = MarkedWord(tuple(self.slots), tuple(self.marks))
         if self.validate and not perms.is_reduced(result.word_and_positions()[0]):
@@ -528,11 +515,12 @@ class _PieriEngine:
         return result
 
     def _step_backward(self, j: int) -> None:
-        crosses = self._crosses()
+        column, lo, hi, crosses = _column_sweep(self.slots, j, self.i, self.down)
+        perms.sweep_span(self.slots, column.copy(), lo, crosses, j, 0, self.down)
         lower, upper = crosses[j - 1]
         # if the cross at j had bumped another one down, un-bump it first
         partner = None
-        for p in self._positions_with(DOWN):
+        for p in self.down:
             if p >= j or self.slots[p - 1] == INF:
                 continue
             if crosses[p - 1] == (upper, lower):
@@ -540,24 +528,25 @@ class _PieriEngine:
                     raise InvariantError("two pending crosses claim the same wires")
                 partner = p
         if partner is not None:
-            self.marks[partner - 1] = None
-        self.book.remove(lower if self.variant == "c" else upper)
-        lo, hi = _height_window(self.slots, self.i)
-        labels = self._column_labels(j, range(lo, hi + 2))
+            self._mark(partner, None)
+        self.book.remove(lower if self.column_variant else upper)
         cur = int(self.slots[j - 1])
         k: int | float = INF
+        lower_in = column[cur + 1 - lo] in self.book
         for h in range(cur + 1, hi + 1):
-            if self._extract_ok(labels[h - lo], labels[h + 1 - lo]):
+            upper_in = column[h + 1 - lo] in self.book
+            if lower_in is self.column_variant and upper_in is not self.column_variant:
                 k = h
                 break
+            lower_in = upper_in
         self.slots[j - 1] = k
-        self.marks[j - 1] = DOWN
+        self._mark(j, DOWN)
         if k != INF:
             # the new cross at j swaps the labels of column j at heights k, k+1
-            lower, upper = labels[k - lo], labels[k + 1 - lo]
-            self.book.add(upper if self.variant == "c" else lower)
+            lower, upper = column[k - lo], column[k + 1 - lo]
+            self.book.add(upper if self.column_variant else lower)
             mate = self._defect_mate_in_unmarked(j)
-            self.marks[mate - 1] = UP
+            self._mark(mate, UP)
         self._snapshot(f"raised {j} to {'oo' if k == INF else k}", column=j)
 
     def _defect_mate_in_unmarked(self, j: int) -> int:
@@ -565,12 +554,11 @@ class _PieriEngine:
         of unmarked letters plus j itself.  The pairing cross sits to the
         right of j: pending marks are created leftwards, so they unwind
         rightwards (the Monk extraction's "rightmost defect")."""
-        visible = set(self._positions_with(None)) | {j}
-        skip = frozenset(p for p in range(1, len(self.slots) + 1) if p not in visible)
+        skip = (self.down | self.up) - {j}
         crosses = perms.wiring_sweep(self.slots, skip=skip)[1]
         a, b = crosses[j - 1]
-        hits = [p for p in self._positions_with(None)
-                if p > j and crosses[p - 1] == (b, a)]
+        hits = [p for p in range(j + 1, len(self.slots) + 1)
+                if p not in skip and crosses[p - 1] == (b, a)]
         if len(hits) != 1:
             raise InvariantError(f"expected one defect mate for {j}, found {hits}")
         return hits[0]
@@ -593,7 +581,7 @@ def rightmost_subword(ambient: Sequence, p: Permutation) -> tuple[int, ...]:
     hi = max([p.lo + len(p.window) - 1] + [a + 1 for _, a in usable])
     # images[x - lo] = remaining(x), remaining being p times the simple
     # transpositions of the letters chosen so far
-    images = [p(x) for x in range(lo, hi + 1)]
+    images = list(p.one_line(lo, hi))
     chosen: list[int] = []
     for pos, a in reversed(usable):
         a -= lo

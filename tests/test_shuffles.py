@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import itertools
 import math
 import random
@@ -344,6 +345,68 @@ def test_monk_covers_window():
         parse_permutation("[312]"), Permutation.from_one_line((1, 2, 0), lo=0)}
     counts = [len(reduced_words(s)) for s in monk_rhs(parse_permutation("[21]"), 1)]
     assert sorted(counts) == [1, 1]
+
+
+# -- golden digest of outputs, errors and traces ----------------------------
+
+
+def _repr_or_error(fn, *args, **kwargs):
+    try:
+        return repr(fn(*args, **kwargs))
+    except (ValueError, AssertionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _golden_lines():
+    """Every Monk position and a seeded sample of Pieri positions (k = 1-3,
+    both variants, i = 0..5) on S4 and a seeded S5 sample, each with its
+    unshuffle; unshuffles against seeded, mostly wrong, sources; and the
+    trace lines of a few validated runs."""
+    rng = random.Random(2024)
+    for p in list(symmetric_group(4)) + rng.sample(list(symmetric_group(5)), 6):
+        words = reduced_words(p)
+        for w in (words if len(words) <= 2 else rng.sample(words, 2)):
+            for i in range(0, 6):
+                for j in range(1, len(w) + 2):
+                    out = monk_shuffle(i, w, j)
+                    yield f"monk {i} {w} {j} -> {out} <- {monk_unshuffle(i, out, p)}"
+                for k, variant in itertools.product((1, 2, 3), "cr"):
+                    spots = list(itertools.combinations(range(1, len(w) + k + 1), k))
+                    for positions in (spots if len(spots) <= 4 else rng.sample(spots, 4)):
+                        out = pieri_shuffle(i, w, positions, variant=variant)
+                        back = pieri_unshuffle(i, out, p, variant=variant)
+                        yield f"pieri {variant} {i} {w} {positions} -> {out} <- {back}"
+    s4 = list(symmetric_group(4))
+    for p in rng.sample(list(symmetric_group(5)), 40):
+        w = rng.choice(reduced_words(p))
+        for _ in range(4):
+            q = rng.choice(s4)
+            i = rng.randrange(0, 6)
+            yield f"monk-inv {i} {w} {q}: {_repr_or_error(monk_unshuffle, i, w, q)}"
+            for variant in "cr":
+                got = _repr_or_error(pieri_unshuffle, i, w, q, variant=variant)
+                yield f"pieri-inv {variant} {i} {w} {q}: {got}"
+    for i, w, j in ((3, (3, 2, 3, 4, 3, 2), 5), (1, (1, 2, 1), 1), (2, (2, 3, 1, 2), 2)):
+        trace: list[str] = []
+        monk_shuffle(i, w, j, validate=True, trace=trace)
+        yield from trace
+    for i, w, positions, variant in ((5, (5, 3), (3, 4, 5), "c"),
+                                     (2, (2, 3, 1, 2), (1, 3), "r"),
+                                     (3, (2, 3, 2, 4), (2, 4, 6), "c")):
+        trace = []
+        out = pieri_shuffle(i, w, positions, variant=variant, validate=True, trace=trace)
+        pieri_unshuffle(i, out, prod_word(w), variant=variant, validate=True, trace=trace)
+        yield from trace
+
+
+def test_golden_digest():
+    """8,801 lines recorded before the engines moved to one wiring sweep per
+    step: outputs, unshuffles, exception types and messages off the domain,
+    and trace text, all of which must stay byte for byte."""
+    lines = list(_golden_lines())
+    assert len(lines) == 8801
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "776733176314dd4ec4ab2c8cc42489caa080789e6c7c8bd8e0fcb3b0d46fae71"
 
 
 # -- round trips on random reduced words in S6-S8 -----------------------------
