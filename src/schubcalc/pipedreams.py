@@ -9,12 +9,17 @@ the compatible sequence, and the pair determines the pipe dream.
 The permutation of a pipe dream is the Demazure product of its reading word;
 the dream is reduced when the word is, equivalently when its excess is 0.
 
-One search enumerates pipe dreams: all_pipe_dreams, a Demazure-pruned walk
-over the staircase cells on plain tuples of images; reduced_pipe_dreams is
-its excess-0 case.  chute_moves and ladder_moves act on one dream; their
-closure from the bottom pipe dream (Bergeron-Billey, "RC-graphs and
-Schubert polynomials", 1993) is the independent route that
-tests/oracles.py checks the reduced dreams against.
+One search enumerates pipe dreams: all_pipe_dreams walks the staircase
+cells on plain tuples of images, pruned by two row-local tests.  The letters
+after a cell of row r end with the full rows below, whose Demazure product
+is w0 on positions r+1..n, so whether a branch can still reach p is read off
+the top of a w0-coset: agreement with p above row r and one maximum in it.
+reduced_pipe_dreams is the excess-0 case.  The quasi-Yamanouchi dream of a
+word is read off its greatest compatible row sequence, with no enumeration.
+chute_moves and ladder_moves act on one dream; their closure from the
+bottom pipe dream (Bergeron-Billey, "RC-graphs and Schubert polynomials",
+1993) is the independent route that tests/oracles.py checks the reduced
+dreams against.
 """
 from __future__ import annotations
 
@@ -187,57 +192,41 @@ def all_pipe_dreams(p: Permutation, n: int | None = None,
     """All pipe dreams (any excess, at most max_excess) whose permutation is p.
 
     These are the cross sets of the staircase of size n whose reading word
-    has Demazure product p; size ambient_size(p) suffices, since a cross on a
-    higher antidiagonal would put a letter outside the support of p into the
-    product.  By Knutson-Miller ("Subword complexes in Coxeter groups",
-    2004) they are the complements of the interior faces of the subword
-    complex of triangular_word(n) and p.  reduced_pipe_dreams is the
-    max_excess=0 case of this search.
+    has Demazure product p; size ambient_size(p) suffices, and no pipe dream
+    of size n exists when p moves a point outside 1..n.  By Knutson-Miller
+    ("Subword complexes in Coxeter groups", 2004) they are the complements
+    of the interior faces of the subword complex of triangular_word(n) and
+    p.  reduced_pipe_dreams is the max_excess=0 case of this search.
 
     A depth-first search walks the cells in reading order carrying x, the
-    Demazure product of the crosses taken so far, as the tuple of its images
-    over one window holding the letters and the support of p, with its
-    length.  At each cell it either skips the cell or takes it; taking the
-    letter a swaps the images at a and a+1 when they ascend (and lengthens
-    x), else leaves x alone (and raises the excess).  Demazure products only
-    grow, both along a word and when letters are inserted, so a branch is
-    entered only while
-    (a) x <= p in Bruhat order, and
-    (b) x followed by every remaining letter has Demazure product >= p.
-    Taking the cell keeps (b), which held for x before it, so the search
-    tests (b) only when it skips and (a) only when a letter lengthens x.
-    Past the last cell (a) and (b) say x == p, so every leaf is a pipe dream
-    for p, and no cross set failing either test is ever built.  The excess
-    never falls, which bounds the search by max_excess.  Both tests are
-    memoised in dicts that live for one call.
+    Demazure product of the crosses taken so far, as the tuple of the images
+    of 1..n, with its length.  Taking the letter a swaps the images at a and
+    a+1 when they ascend (and lengthens x), else raises the excess.  A branch
+    is entered only while (a) x <= p in Bruhat order, and (b) x followed by
+    every remaining letter has Demazure product >= p.  Before cell (r, c)
+    those letters are r+c-1, ..., r and then the full rows below, whose
+    product is w0 on positions r+1..n.  So x followed by them is the top of
+    a coset of the group of that w0: max(x(r..r+c)) at r, then the rest of
+    x(r..n) decreasing.  By the tableau criterion, given (a), (b) says x
+    agrees with p on 1..r-1 and max(x(r..r+c)) >= p(r).  Row r never moves
+    positions before r, so the agreement is tested once per row, at x(r)
+    when its last cell is skipped.  Taking a cell keeps (b), and so does
+    skipping a letter that is a descent of x, as x s_a = x.  Taking a right
+    descent of p keeps (a) (Deodhar's lifting property), so only the other
+    lengthening letters consult the memoised Bruhat test.  At the leaves (a)
+    and (b) say x == p.  The excess never falls, which bounds the search by
+    max_excess.
     """
     if n is None:
         n = ambient_size(p)
-    if max_excess is not None and max_excess < 0:
+    if (max_excess is not None and max_excess < 0
+            or p.support is not None and (p.support[0] < 1 or p.support[1] > n)):
         return frozenset()
     cells = staircase_cells(n)
     end = len(cells)
-    lo = min(1, p.lo)
-    target = p.one_line(lo, max(n, p.lo + len(p.window) - 1))
+    target = p.one_line(1, n)
     target_length = p.length
-    # each cell's letter a, as the index of the image of a in the window
-    slots = [r + c - 1 - lo for (r, c) in cells]
     below: dict[tuple[int, ...], bool] = {}
-    reach: dict[tuple[int, tuple[int, ...]], bool] = {}
-
-    def reaches(k: int, x: tuple[int, ...], length: int) -> bool:
-        """Test (b) for x before cell k."""
-        hit = reach.get((k, x))
-        if hit is None:
-            y = list(x)
-            for i in slots[k:]:
-                if y[i] < y[i + 1]:
-                    y[i], y[i + 1] = y[i + 1], y[i]
-                    length += 1
-            hit = length >= target_length and perms._bruhat_leq_images(target, y, lo)
-            reach[(k, x)] = hit
-        return hit
-
     out = []
     taken: list[tuple[int, int]] = []
 
@@ -245,27 +234,28 @@ def all_pipe_dreams(p: Permutation, n: int | None = None,
         if k == end:
             out.append(PipeDream(n, frozenset(taken)))
             return
-        if reaches(k + 1, x, length):
+        r, c = cells[k]
+        i = r + c - 2  # the letter r + c - 1 acts on the images at i and i + 1
+        u, v = x[i], x[i + 1]
+        if u > v or (max(x[r - 1:i + 1]) >= target[r - 1] if c > 1 else u == target[i]):
             search(k + 1, x, length)
-        i = slots[k]
-        if x[i] < x[i + 1]:
-            x = x[:i] + (x[i + 1], x[i]) + x[i + 2:]
+        if u < v:
+            x = x[:i] + (v, u) + x[i + 2:]
             length += 1
-            ok = below.get(x)
-            if ok is None:
-                ok = below[x] = (length <= target_length
-                                 and perms._bruhat_leq_images(x, target, lo))
-            if not ok:
-                return
+            if target[i] < target[i + 1]:
+                ok = below.get(x)
+                if ok is None:
+                    ok = below[x] = (length <= target_length
+                                     and perms._bruhat_leq_images(x, target, 1))
+                if not ok:
+                    return
         elif max_excess is not None and len(taken) + 1 - length > max_excess:
             return
         taken.append(cells[k])
         search(k + 1, x, length)
         taken.pop()
 
-    identity = tuple(range(lo, lo + len(target)))
-    if reaches(0, identity, 0):
-        search(0, identity, 0)
+    search(0, tuple(range(1, n + 1)), 0)
     return frozenset(out)
 
 
@@ -298,18 +288,32 @@ def quasi_yamanouchi_pipe_dreams(p: Permutation, n: int | None = None,
 def quasi_yamanouchi_for_word(word: Word) -> PipeDream | None:
     """The unique quasi-Yamanouchi reduced pipe dream with the given reading
     word, or None when the word admits no positive compatible sequence.
+
+    >>> quasi_yamanouchi_for_word((2, 3, 2)).sorted_crosses()
+    ((1, 2), (2, 1), (2, 2))
     """
     if not perms.is_reduced(word):
         raise ValueError("expected a reduced word")
-    n = max(word) + 1 if word else 1
-    found = None
-    for rows in perms.compatible_sequences(word, lower_bound=1):
-        dream = from_word_and_rows(word, rows, n)
-        if is_quasi_yamanouchi(dream):
-            if found is not None:
-                raise AssertionError(f"two quasi-Yamanouchi dreams for word {word!r}")
-            found = dream
-    return found
+    return _top_rows_dream(word)
+
+
+def _top_rows_dream(word: Word) -> PipeDream | None:
+    """The pipe dream reading word whose rows are the componentwise greatest
+    compatible sequence, or None when that sequence leaves the positive rows.
+
+    Built from the right: i_l = a_l and i_k = min(a_k, i_{k+1} - [a_k <= a_{k+1}]).
+    Each row then ends in column 1 or weakly left of the next row's rightmost
+    cross, unless it ends on the letter that starts the next row, which a
+    reduced word never repeats: so on reduced words the dream is the word's
+    quasi-Yamanouchi pipe dream (Assaf-Searles, 2017).
+    """
+    n = row = after = max(word, default=0) + 1
+    crosses = []
+    for a in reversed(word):
+        row = min(a, row - (a <= after))
+        crosses.append((row, a - row + 1))
+        after = a
+    return PipeDream(n, frozenset(crosses)) if row >= 1 else None
 
 
 def render_ascii(dream: PipeDream) -> str:

@@ -210,13 +210,30 @@ def from_exponent_word(seq: Sequence[int]) -> Polynomial:
     return Polynomial.monomial(exps)
 
 
+def from_weights(pairs: Iterable[tuple[tuple[int, ...], int]]) -> Polynomial:
+    """Sum of sign * x^weight over (weak composition, sign) pairs, counted
+    per distinct weight before each becomes a monomial once.
+
+    >>> str(from_weights([((0, 1), 1), ((1,), 1), ((1, 0), 1), ((0, 1), -1)]))
+    '2 x_1'
+    """
+    counts: dict[tuple[int, ...], int] = {}
+    for weight, sign in pairs:
+        counts[weight] = counts.get(weight, 0) + sign
+    out: dict[Monomial, int] = {}
+    for weight, count in counts.items():
+        mono = tuple((i, e) for i, e in enumerate(weight, 1) if e)
+        out[mono] = out.get(mono, 0) + count
+    return Polynomial(out)
+
+
 def _signed(term: Polynomial, excess: int) -> Polynomial:
     """(-1)^excess times the term."""
     return -term if excess % 2 else term
 
 
 def from_tableau_contents(tableaux: Iterable[shapes.Tableau]) -> Polynomial:
-    return Polynomial.sum(from_weak_composition(shapes.content(t)) for t in tableaux)
+    return from_weights((shapes.content(t), 1) for t in tableaux)
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +246,15 @@ def schubert(p: Permutation) -> Polynomial:
     >>> str(schubert(perms.parse_permutation("[321]")))
     'x_1^2 x_2'
     """
-    return Polynomial.sum(from_weak_composition(dream.weight())
-                          for dream in pipedreams.reduced_pipe_dreams(p))
+    return from_weights((dream.weight(), 1) for dream in pipedreams.reduced_pipe_dreams(p))
 
 
 def grothendieck(p: Permutation) -> Polynomial:
     """Signed sum of x^weight over all pipe dreams for p, the sign being
     (-1)^excess.
     """
-    return Polynomial.sum(_signed(from_weak_composition(dream.weight()),
-                                  len(dream.crosses) - p.length)
-                          for dream in pipedreams.all_pipe_dreams(p))
+    return from_weights((dream.weight(), (-1) ** (len(dream.crosses) - p.length))
+                        for dream in pipedreams.all_pipe_dreams(p))
 
 
 def schur(shape: Shape, n: int) -> Polynomial:
@@ -276,23 +291,20 @@ def glide(shape: Shape) -> Polynomial:
     each weighted by (-1)^(entries beyond one per box).
     """
     base = shapes.size(shape)
-    return Polynomial.sum(_signed(from_weak_composition(shapes.set_valued_content(svt)),
-                                  shapes.set_valued_size(svt) - base)
-                          for svt in shapes.enumerate_set_valued_wct(shape))
+    return from_weights((shapes.set_valued_content(svt),
+                         (-1) ** (shapes.set_valued_size(svt) - base))
+                        for svt in shapes.enumerate_set_valued_wct(shape))
 
 
 def glide_of_word(word: Word) -> Polynomial:
     """Glide polynomial of the weight of the quasi-Yamanouchi pipe dream with
     the given (not necessarily reduced) reading word; zero when none exists.
+    That dream, when there is one, has the greatest compatible rows.
     """
-    p = perms.demazure(word)
-    matches = [d for d in pipedreams.all_pipe_dreams(p, max_excess=len(word) - p.length)
-               if pipedreams.is_quasi_yamanouchi(d) and d.reading_word() == tuple(word)]
-    if not matches:
+    dream = pipedreams._top_rows_dream(word)
+    if dream is None or not pipedreams.is_quasi_yamanouchi(dream):
         return Polynomial.zero()
-    if len(matches) > 1:
-        raise AssertionError(f"two quasi-Yamanouchi dreams read {word!r}")
-    return glide(matches[0].weight())
+    return glide(dream.weight())
 
 
 def backstable_truncation(p: Permutation, lowest_index: int) -> Polynomial:

@@ -35,7 +35,11 @@ code they check:
   `perms.wiring_sweep`, `perms.prod_word`, `perms.is_reduced` and
   `shuffles.rightmost_subword`; `random_words` draws the seeded words
   they are compared on;
-- `demazure_step` is one letter of the Demazure product on a `Permutation`.
+- `demazure_step` is one letter of the Demazure product on a `Permutation`;
+- `quasi_yamanouchi_for_word_by_sequences` tries every positive compatible
+  sequence of a reduced word, and `glide_of_word_by_filter` filters every
+  pipe dream of the word's Demazure product, against the greatest-rows
+  dream of `pipedreams.quasi_yamanouchi_for_word` and `poly.glide_of_word`.
 """
 import itertools
 import random
@@ -47,13 +51,16 @@ from schubcalc.complexes import Classification, SimplicialComplex
 from schubcalc.perms import INF, Permutation
 from schubcalc.pipedreams import (
     PipeDream,
+    all_pipe_dreams,
     ambient_size,
     bottom_pipe_dream,
     chute_moves,
+    from_word_and_rows,
+    is_quasi_yamanouchi,
     ladder_moves,
     staircase_cells,
 )
-from schubcalc.poly import Polynomial, from_exponent_word, from_weak_composition
+from schubcalc.poly import Polynomial, from_exponent_word, from_weak_composition, glide
 
 
 def scan_pipe_dreams(n):
@@ -82,6 +89,32 @@ def reduced_pipe_dreams_by_moves(p, n=None):
                 seen.add(neighbour)
                 frontier.append(neighbour)
     return frozenset(seen)
+
+
+def quasi_yamanouchi_for_word_by_sequences(word):
+    """The one quasi-Yamanouchi dream among the dreams of every positive
+    compatible sequence of a reduced word, or None when it has none."""
+    if not perms.is_reduced(word):
+        raise ValueError("expected a reduced word")
+    n = max(word) + 1 if word else 1
+    found = None
+    for rows in perms.compatible_sequences(word, lower_bound=1):
+        dream = from_word_and_rows(word, rows, n)
+        if is_quasi_yamanouchi(dream):
+            assert found is None, f"two quasi-Yamanouchi dreams for word {word!r}"
+            found = dream
+    return found
+
+
+def glide_of_word_by_filter(word):
+    """Glide of the weight of the one quasi-Yamanouchi dream, among all pipe
+    dreams of the word's Demazure product, that reads the word; zero when
+    there is none."""
+    p = perms.demazure(word)
+    matches = [d for d in all_pipe_dreams(p, max_excess=len(word) - p.length)
+               if is_quasi_yamanouchi(d) and d.reading_word() == tuple(word)]
+    assert len(matches) <= 1, f"two quasi-Yamanouchi dreams read {word!r}"
+    return glide(matches[0].weight()) if matches else Polynomial.zero()
 
 
 def isobaric_divided_difference(f, i):

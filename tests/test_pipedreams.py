@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -19,7 +20,11 @@ from schubcalc.pipedreams import (
     triangular_word,
 )
 
-from oracles import reduced_pipe_dreams_by_moves, scan_pipe_dreams
+from oracles import (
+    quasi_yamanouchi_for_word_by_sequences,
+    reduced_pipe_dreams_by_moves,
+    scan_pipe_dreams,
+)
 
 
 def test_reading_word_examples():
@@ -114,7 +119,7 @@ def test_quasi_yamanouchi_examples():
 def test_one_quasi_yamanouchi_per_word():
     """Each reduced word admitting a positive compatible sequence has exactly
     one quasi-Yamanouchi pipe dream with that reading word."""
-    for p in symmetric_group(4):
+    for p in itertools.chain(symmetric_group(4), symmetric_group(5)):
         dreams = reduced_pipe_dreams(p)
         by_word = {}
         for d in dreams:
@@ -129,6 +134,23 @@ def test_one_quasi_yamanouchi_per_word():
 
 def test_quasi_yamanouchi_for_word_without_sequence():
     assert quasi_yamanouchi_for_word((1, 2, 1)) is None
+
+
+def test_quasi_yamanouchi_for_word_matches_sequence_scan():
+    """The greatest-rows dream is the one quasi-Yamanouchi dream the scan over
+    every positive compatible sequence finds: on every reduced word of S3-S5,
+    on a seeded sample of S6 and on words with letters below 1."""
+    rng = random.Random(6)
+    sample = rng.sample(list(symmetric_group(6)), 60)
+    for p in itertools.chain(*(symmetric_group(m) for m in (3, 4, 5)), sample):
+        for word in perms.reduced_words(p):
+            assert quasi_yamanouchi_for_word(word) == \
+                quasi_yamanouchi_for_word_by_sequences(word), word
+    for word in [(), (0,), (1, 0), (2, 0, 1), (-1, 1)]:
+        assert quasi_yamanouchi_for_word(word) == \
+            quasi_yamanouchi_for_word_by_sequences(word), word
+    with pytest.raises(ValueError):
+        quasi_yamanouchi_for_word((1, 1))
 
 
 def test_quasi_yamanouchi_count_135624_by_enumeration():
@@ -151,11 +173,12 @@ def test_all_pipe_dreams_excess_bound():
     assert all(d.excess == 0 for d in capped)
 
 
-@pytest.mark.parametrize("m", [4, 5])
+@pytest.mark.parametrize("m", [4, 5, 6])
 def test_all_pipe_dreams_matches_subset_scan(m):
     """The pruned search returns exactly the cross sets a scan over every
-    subset of the staircase finds: for each p in S_m, at its own size, at a
-    larger size and at a smaller one, with and without an excess bound."""
+    subset of the staircase finds: for each p in S_m, at its own size, and
+    below S6 at a larger size and at a smaller one, with and without an
+    excess bound."""
     scans = {}
 
     def expected(p, n, max_excess):
@@ -166,11 +189,23 @@ def test_all_pipe_dreams_matches_subset_scan(m):
 
     for p in symmetric_group(m):
         size = pipedreams.ambient_size(p)
-        for n in (size, m + 1, size - 1):
+        for n in (size, m + 1, size - 1) if m < 6 else (size,):
             for max_excess in (None, 0, 1, 2):
                 assert all_pipe_dreams(p, n, max_excess) == expected(p, n, max_excess), \
                     (str(p), n, max_excess)
         assert all_pipe_dreams(p) == expected(p, size, None)
+
+
+def test_all_pipe_dreams_outside_positive_support():
+    """A permutation moving 0 or -1 has no pipe dream in any staircase."""
+    for p in [Permutation(0, (1, 0)), Permutation(-1, (0, -1)),
+              Permutation(0, (2, 1, 0)), Permutation(-1, (1, 0, -1)),
+              Permutation(-1, (-1, 2, 1, 0))]:
+        for n in range(0, 6):
+            for max_excess in (None, 0, 2):
+                assert all_pipe_dreams(p, n, max_excess) == frozenset(), (str(p), n)
+        with pytest.raises(ValueError):
+            all_pipe_dreams(p)
 
 
 def test_render_and_json():
