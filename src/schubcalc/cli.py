@@ -11,6 +11,7 @@ also gives exit 1.  No exit prints a traceback.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -46,26 +47,34 @@ def _emit(args, payload_text: str, payload_json) -> None:
 # -- perm ----------------------------------------------------------------
 
 
+def _perm_reduced_words(args):
+    words = perms.reduced_words(perms.parse_permutation(_require(args, "perm")))
+    return "\n".join(perms.format_word(w) for w in words), [list(w) for w in words]
+
+
+def _perm_lehmer(args):
+    code = perms.lehmer_code(perms.parse_permutation(_require(args, "perm")))
+    return ",".join(map(str, code)), list(code)
+
+
+def _permutation_payload(result):
+    text = perms.format_permutation(result)
+    return text, {"permutation": text}
+
+
+_PERM_ACTIONS = {
+    "reduced-words": _perm_reduced_words,
+    "lehmer": _perm_lehmer,
+    "demazure": lambda args: _permutation_payload(
+        perms.demazure(perms.parse_word(_require(args, "word", "--word")))),
+    "tau": lambda args: _permutation_payload(
+        perms.tau(perms.parse_permutation(_require(args, "perm")), args.power)),
+}
+
+
 def _cmd_perm(args) -> int:
-    if args.action == "reduced-words":
-        target = perms.parse_permutation(_require(args, "perm"))
-        words = perms.reduced_words(target)
-        _emit(args, "\n".join(perms.format_word(w) for w in words),
-              [list(w) for w in words])
-    elif args.action == "lehmer":
-        target = perms.parse_permutation(_require(args, "perm"))
-        code = perms.lehmer_code(target)
-        _emit(args, ",".join(map(str, code)), list(code))
-    elif args.action == "demazure":
-        word = perms.parse_word(_require(args, "word", "--word"))
-        result = perms.demazure(word)
-        _emit(args, perms.format_permutation(result),
-              {"permutation": perms.format_permutation(result)})
-    elif args.action == "tau":
-        target = perms.parse_permutation(_require(args, "perm"))
-        result = perms.tau(target, args.power)
-        _emit(args, perms.format_permutation(result),
-              {"permutation": perms.format_permutation(result)})
+    text, data = _PERM_ACTIONS[args.action](args)
+    _emit(args, text, data)
     return 0
 
 
@@ -128,24 +137,24 @@ def _cmd_expand(args) -> int:
 # -- pipedreams ----------------------------------------------------------
 
 
+_DREAM_POOLS = {
+    "list": lambda p, args: (pipedreams.all_pipe_dreams(p, max_excess=args.max_excess)
+                             if args.all else pipedreams.reduced_pipe_dreams(p)),
+    "qy": lambda p, args: pipedreams.quasi_yamanouchi_pipe_dreams(p, reduced_only=not args.all),
+    "render": lambda p, args: pipedreams.reduced_pipe_dreams(p),
+}
+
+
 def _cmd_pipedreams(args) -> int:
-    target = perms.parse_permutation(args.perm)
-    if args.action == "list":
-        pool = (pipedreams.all_pipe_dreams(target, max_excess=args.max_excess)
-                if args.all else pipedreams.reduced_pipe_dreams(target))
-    elif args.action == "qy":
-        pool = pipedreams.quasi_yamanouchi_pipe_dreams(target, reduced_only=not args.all)
-    else:  # render
-        pool = pipedreams.reduced_pipe_dreams(target)
+    pool = _DREAM_POOLS[args.action](perms.parse_permutation(args.perm), args)
     dreams = sorted(pool, key=lambda d: d.sorted_crosses())
-    if args.action == "render":
-        if args.format == "svg":
-            print("\n".join(pipedreams.render_svg(d) for d in dreams))
-        else:
-            print("\n\n".join(pipedreams.render_ascii(d) for d in dreams))
-        return 0
-    _emit(args, "\n".join(repr(d) for d in dreams),
-          [pipedreams.to_json(d) for d in dreams])
+    if args.action != "render":
+        _emit(args, "\n".join(repr(d) for d in dreams),
+              [pipedreams.to_json(d) for d in dreams])
+    elif args.format == "svg":
+        print("\n".join(pipedreams.render_svg(d) for d in dreams))
+    else:
+        print("\n\n".join(pipedreams.render_ascii(d) for d in dreams))
     return 0
 
 
@@ -165,7 +174,7 @@ def _complex_from_args(args) -> complexes.SimplicialComplex:
             kind = "subword"
     else:
         kind = args.kind
-    if kind == "subword":
+    if kind in ("subword", "sr-generators"):
         return complexes.subword_complex(perms.parse_word(_require(args, "word", "--word")),
                                          perms.parse_permutation(_require(args, "perm", "--perm")))
     if kind == "slide":
@@ -195,9 +204,7 @@ def _cmd_complex(args) -> int:
         _emit(args, "\n".join(lines), data)
         return 0
     if args.kind == "sr-generators":
-        complex_ = complexes.subword_complex(
-            perms.parse_word(_require(args, "word", "--word")),
-            perms.parse_permutation(_require(args, "perm", "--perm")))
+        complex_ = _complex_from_args(args)
         gens = sorted(sorted(g) for g in complexes.stanley_reisner_generators(complex_))
         _emit(args, "\n".join(str(g) for g in gens), gens)
         return 0
@@ -287,38 +294,33 @@ def _shuffle_pieri_inv(args) -> int:
 
 
 def _shuffle_verify(args) -> int:
+    """Shuffle every reduced word of --perm at every choice of k positions
+    (Monk: k = 1), compare the outputs with the reduced words of the
+    product's terms, and invert each output."""
     target = perms.parse_permutation(_require(args, "perm", "--perm"))
+    i, k = args.i, args.k
+    label = f"{args.rule} bijection on {args.perm}, i={i}"
     if args.rule == "monk":
-        outputs = {}
-        for w in perms.reduced_words(target):
-            for j in range(1, len(w) + 2):
-                outputs[(w, j)] = shuffles.monk_shuffle(args.i, w, j, validate=True)
-        expected = sorted(w for s in shuffles.monk_rhs(target, args.i)
-                          for w in perms.reduced_words(s))
-        ok = sorted(outputs.values()) == expected
-        for (w, j), out in sorted(outputs.items()):
-            inv = shuffles.monk_unshuffle(
-                args.i, out, target)
-            ok = ok and inv == (w, j)
-        print(f"monk bijection on {args.perm}, i={args.i}: "
-              f"{'ok' if ok else 'FAILED'} ({len(outputs)} shuffles)")
-        return 0 if ok else 1
-    variant = "c" if args.rule == "pieri-c" else "r"
-    import itertools
-    outputs = {}
-    for w in perms.reduced_words(target):
-        for positions in itertools.combinations(range(1, len(w) + args.k + 1), args.k):
-            out = shuffles.pieri_shuffle(args.i, w, positions, variant=variant,
-                                         validate=True)
-            outputs[(w, positions)] = out
-    expected = sorted(w for s in shuffles.pieri_targets(target, args.i, args.k, variant)
-                      for w in perms.reduced_words(s))
-    ok = sorted(outputs.values()) == expected
-    for (w, positions), out in sorted(outputs.items()):
-        marked = shuffles.pieri_unshuffle(args.i, out, target, variant=variant)
-        ok = ok and marked.word_and_positions() == (w, positions)
-    print(f"pieri-{variant} bijection on {args.perm}, i={args.i}, k={args.k}: "
-          f"{'ok' if ok else 'FAILED'} ({len(outputs)} shuffles)")
+        def unshuffle(out):
+            w, j = shuffles.monk_unshuffle(i, out, target)
+            return w, (j,)
+
+        k = 1
+        shuffle = lambda w, pos: shuffles.monk_shuffle(i, w, pos[0], validate=True)
+        terms = lambda: shuffles.monk_rhs(target, i)
+    else:
+        variant = args.rule.removeprefix("pieri-")
+        label += f", k={k}"
+        shuffle = lambda w, pos: shuffles.pieri_shuffle(i, w, pos, variant=variant, validate=True)
+        unshuffle = lambda out: shuffles.pieri_unshuffle(
+            i, out, target, variant=variant).word_and_positions()
+        terms = lambda: shuffles.pieri_targets(target, i, k, variant)
+    outputs = {(w, pos): shuffle(w, pos) for w in perms.reduced_words(target)
+               for pos in itertools.combinations(range(1, len(w) + k + 1), k)}
+    ok = sorted(outputs.values()) == sorted(w for s in terms() for w in perms.reduced_words(s))
+    for key, out in sorted(outputs.items()):
+        ok = ok and unshuffle(out) == key
+    print(f"{label}: {'ok' if ok else 'FAILED'} ({len(outputs)} shuffles)")
     return 0 if ok else 1
 
 
@@ -354,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add_parser("perm", help="permutation and word operations")
-    p.add_argument("action", choices=("reduced-words", "lehmer", "demazure", "tau"))
+    p.add_argument("action", choices=tuple(_PERM_ACTIONS))
     p.add_argument("perm", nargs="?", help="bracketed one-line notation")
     p.add_argument("--word", help="word argument for demazure")
     p.add_argument("--power", type=int, default=1)
@@ -374,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_expand)
 
     p = add_parser("pipedreams", help="pipe dream enumeration and rendering")
-    p.add_argument("action", choices=("list", "qy", "render"))
+    p.add_argument("action", choices=tuple(_DREAM_POOLS))
     p.add_argument("perm")
     p.add_argument("--all", action="store_true", help="include non-reduced pipe dreams")
     p.add_argument("--max-excess", type=int, default=None, dest="max_excess")

@@ -119,7 +119,10 @@ class SimplicialComplex:
         m = self._mask(probe)
         if m is None:
             raise ValueError("deletion requires a face")
-        return self._restrict(probe, {f & ~m for f in self._view[2]}) if m else self
+        if not m:
+            return self
+        return SimplicialComplex.from_facets((_face(self._view[0], f & ~m) for f in self._view[2]),
+                                             (v for v in self.vertices if v not in probe))
 
     def link(self, face: Iterable[Vertex]) -> "SimplicialComplex":
         """Faces disjoint from the given face whose union with it is a face."""
@@ -127,12 +130,15 @@ class SimplicialComplex:
         m = self._mask(probe)
         if m is None:
             raise ValueError("link requires a face")
-        return self._restrict(probe, {f ^ m for f in self._view[2] if f & m == m})
-
-    def _restrict(self, probe: Face, masks: set[int]) -> "SimplicialComplex":
-        """The complex generated by the masks, on the vertices outside probe."""
-        return SimplicialComplex.from_facets((_face(self._view[0], f) for f in masks),
-                                             (v for v in self.vertices if v not in probe))
+        order, _, masks = self._view
+        kept = [f ^ m for f in masks if f & m == m]
+        # f ^ m < g ^ m gives f < g, which only facets built non-maximal have;
+        # masks of the top size are maximal, so a pure complex skips the scan
+        top = max(g.bit_count() for g in kept)
+        return SimplicialComplex(
+            tuple(v for v in self.vertices if v not in probe),
+            frozenset(_face(order, g) for g in kept
+                      if g.bit_count() == top or not any(g & h == g and g != h for h in kept)))
 
     def cone_vertices(self) -> tuple:
         if self.is_void:
@@ -231,10 +237,6 @@ def _canon(facets: frozenset[int]) -> frozenset[int]:
 # vertex decomposability
 
 
-# Canonical facet masks (see _canon) -> the first vertex bit whose deletion
-# and link both decompose, _LEAF for {}, None when the complex is not
-# vertex-decomposable.
-_VD_CACHE: dict[frozenset[int], int | None] = {}
 _LEAF = -1
 
 
@@ -268,23 +270,21 @@ def vertex_decomposition(complex_: SimplicialComplex):
     return witness(complex_._view[2])
 
 
+@perms._memo
 def _vd_choice(facets: frozenset[int]) -> int | None:
-    """The memoised search on canonical facet masks, whose used vertices are
-    bits 0..m-1 in sorted order.  It only recurses on pure complexes, where
+    """The memoised search on canonical facet masks (see _canon), whose used
+    vertices are bits 0..m-1 in sorted order: the first vertex bit whose
+    deletion and link both decompose, _LEAF for {}, None when the complex is
+    not vertex-decomposable.  It only recurses on pure complexes, where
     `_delete` gives exactly the facets of the deletion."""
-    if facets in _VD_CACHE:
-        return _VD_CACHE[facets]
-    choice = None
     if facets == frozenset({0}):
-        choice = _LEAF
-    elif len({f.bit_count() for f in facets}) == 1:
+        return _LEAF
+    if len({f.bit_count() for f in facets}) == 1:
         for k in range(max(facets).bit_length()):
             if (_vd_choice(_canon(_delete(facets, 1 << k))) is not None
                     and _vd_choice(_canon(_link(facets, 1 << k))) is not None):
-                choice = k
-                break
-    _VD_CACHE[facets] = choice
-    return choice
+                return k
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -461,25 +461,15 @@ def is_backwards_saturated(words: Iterable[Word]) -> bool:
     return _bs_check(word_set)
 
 
-_bs_memo: dict[frozenset[Word], bool] = {}
-
-
+@perms._memo
 def _bs_check(word_set: frozenset[Word]) -> bool:
-    cached = _bs_memo.get(word_set)
-    if cached is not None:
-        return cached
-    result = True
-    first_letters = {w[0] for w in word_set if w}
-    for letter in first_letters:
+    for letter in {w[0] for w in word_set if w}:
         behind = frozenset(w[1:] for w in word_set if w and w[0] == letter)
         if not _bs_check(behind):
-            result = False
-            break
+            return False
         if not all(any(_is_subword(tail, w) for tail in behind) for w in word_set):
-            result = False
-            break
-    _bs_memo[word_set] = result
-    return result
+            return False
+    return True
 
 
 def _is_subword(short: Word, long: Word) -> bool:

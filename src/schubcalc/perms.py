@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Container, Iterator, Sequence
 
 Word = tuple[int, ...]
@@ -322,7 +322,12 @@ def demazure(word: Sequence[int]) -> Permutation:
     return result
 
 
-_REDUCED_WORDS_CACHE: dict[Permutation, tuple[Word, ...]] = {}
+# The one memo of the library's recursions (reduced words here, the vertex-
+# decomposition search and backwards saturation in complexes): bounded, so no
+# run of inputs grows a process-global cache without limit, and more than ten
+# times the ~5,000 entries the largest documented inputs fill, so it does not
+# evict on them.  Hits, misses and size come from each function's cache_info().
+_memo = lru_cache(maxsize=1 << 16)
 
 
 def reduced_words(p: Permutation) -> tuple[Word, ...]:
@@ -333,19 +338,15 @@ def reduced_words(p: Permutation) -> tuple[Word, ...]:
     >>> reduced_words(Permutation.identity())
     ((),)
     """
-    cached = _REDUCED_WORDS_CACHE.get(p)
-    if cached is not None:
-        return cached
+    return _reduced_words(p)
+
+
+@_memo
+def _reduced_words(p: Permutation) -> tuple[Word, ...]:
     if p.is_identity():
-        result: tuple[Word, ...] = ((),)
-    else:
-        words = []
-        for i in p.descents():
-            for w in reduced_words(p.right_mul_simple(i)):
-                words.append(w + (i,))
-        result = tuple(sorted(words))
-    _REDUCED_WORDS_CACHE[p] = result
-    return result
+        return ((),)
+    return tuple(sorted(w + (i,) for i in p.descents()
+                        for w in _reduced_words(p.right_mul_simple(i))))
 
 
 def lehmer_code(p: Permutation) -> tuple[int, ...]:

@@ -8,6 +8,7 @@ nothing here assumes indices start at 1.
 """
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Mapping, Sequence
 
 from . import perms, pipedreams, shapes
@@ -54,11 +55,7 @@ class Polynomial:
         >>> str(Polynomial.sum([Polynomial.variable(1), Polynomial.one(), -Polynomial.one()]))
         'x_1'
         """
-        out: dict[Monomial, int] = {}
-        for summand in polys:
-            for mono, coeff in summand.terms.items():
-                out[mono] = out.get(mono, 0) + coeff
-        return Polynomial(out)
+        return _collect(itertools.chain.from_iterable(summand.terms.items() for summand in polys))
 
     @staticmethod
     def monomial(exponents: Mapping[int, int], coeff: int = 1) -> "Polynomial":
@@ -83,14 +80,7 @@ class Polynomial:
     def __add__(self, other: "Polynomial | int") -> "Polynomial":
         if isinstance(other, int):
             other = Polynomial.constant(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            new = out.get(mono, 0) + coeff
-            if new:
-                out[mono] = new
-            else:
-                out.pop(mono, None)
-        return Polynomial(out)
+        return Polynomial.sum((self, other))
 
     __radd__ = __add__
 
@@ -108,16 +98,9 @@ class Polynomial:
             if not other:
                 return Polynomial.zero()
             return Polynomial({m: c * other for m, c in self.terms.items()})
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _merge_monomials(m1, m2)
-                new = out.get(mono, 0) + c1 * c2
-                if new:
-                    out[mono] = new
-                else:
-                    out.pop(mono, None)
-        return Polynomial(out)
+        return _collect((_merge_monomials(m1, m2), c1 * c2)
+                        for m1, c1 in self.terms.items()
+                        for m2, c2 in other.terms.items())
 
     __rmul__ = __mul__
 
@@ -135,21 +118,13 @@ class Polynomial:
     def substitute_zero(self, kill: Iterable[int]) -> "Polynomial":
         """Set the listed variables to zero."""
         dead = set(kill)
-        out: dict[Monomial, int] = {}
-        for m, c in self.terms.items():
-            if any(i in dead for i, _ in m):
-                continue
-            out[m] = out.get(m, 0) + c
-        return Polynomial(out)
+        return Polynomial({m: c for m, c in self.terms.items()
+                           if not any(i in dead for i, _ in m)})
 
     def swap_variables(self, i: int, j: int) -> "Polynomial":
-        out: dict[Monomial, int] = {}
-        for m, c in self.terms.items():
-            exps = dict(m)
-            exps[i], exps[j] = exps.get(j, 0), exps.get(i, 0)
-            key = tuple(sorted((k, e) for k, e in exps.items() if e))
-            out[key] = out.get(key, 0) + c
-        return Polynomial(out)
+        swap = {i: j, j: i}
+        return _collect((tuple(sorted((swap.get(k, k), e) for k, e in m)), c)
+                        for m, c in self.terms.items())
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Graded order, then lexicographic on the (index, exponent) pairs."""
@@ -183,11 +158,17 @@ class Polynomial:
 
     @staticmethod
     def from_json(data: list[dict]) -> "Polynomial":
-        out: dict[Monomial, int] = {}
-        for term in data:
-            mono = tuple(sorted((int(i), int(e)) for i, e in term["exponents"].items()))
-            out[mono] = out.get(mono, 0) + int(term["coeff"])
-        return Polynomial(out)
+        return _collect((tuple(sorted((int(i), int(e)) for i, e in term["exponents"].items())),
+                         int(term["coeff"])) for term in data)
+
+
+def _collect(pairs: Iterable[tuple[Monomial, int]]) -> Polynomial:
+    """The sum of coeff * mono over (monomial, coefficient) pairs: the one
+    fold behind every sum and product."""
+    out: dict[Monomial, int] = {}
+    for mono, coeff in pairs:
+        out[mono] = out.get(mono, 0) + coeff
+    return Polynomial(out)
 
 
 def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
@@ -220,11 +201,8 @@ def from_weights(pairs: Iterable[tuple[tuple[int, ...], int]]) -> Polynomial:
     counts: dict[tuple[int, ...], int] = {}
     for weight, sign in pairs:
         counts[weight] = counts.get(weight, 0) + sign
-    out: dict[Monomial, int] = {}
-    for weight, count in counts.items():
-        mono = tuple((i, e) for i, e in enumerate(weight, 1) if e)
-        out[mono] = out.get(mono, 0) + count
-    return Polynomial(out)
+    return _collect((tuple((i, e) for i, e in enumerate(weight, 1) if e), count)
+                    for weight, count in counts.items())
 
 
 def _signed(term: Polynomial, excess: int) -> Polynomial:

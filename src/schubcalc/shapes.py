@@ -189,8 +189,6 @@ def enumerate_tableaux(family: str, shape: Shape, n: int) -> tuple[Tableau, ...]
         raise ValueError(f"wct needs a weak composition shape, got {shape!r}")
 
     if family == "syt":
-        if size(shape) != 0 and size(shape) > n:
-            pass  # entries above n never occur; SYT entries are forced to 1..|shape|
         return tuple(_enumerate_syt(shape, n))
     if family == "ssyt":
         return tuple(_enumerate_ssyt(shape, n))

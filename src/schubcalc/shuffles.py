@@ -289,15 +289,6 @@ class _CofiniteSet:
         return out
 
 
-@dataclass
-class PieriState:
-    """Snapshot of the insertion loop: the marked word plus the bookkeeping
-    set (big labels for the column variant, small for the row variant)."""
-
-    word: MarkedWord
-    bookkeeping: str
-
-
 # ---------------------------------------------------------------------------
 # Pieri insertion
 
@@ -383,9 +374,8 @@ class _PieriEngine:
     def _snapshot(self, note: str, column: int | None = None) -> None:
         if self.trace is None:
             return
-        state = PieriState(MarkedWord(tuple(self.slots), tuple(self.marks)),
-                           self.book.describe())
-        line = f"{note}: {state.word} ; book = {state.bookkeeping}"
+        line = (f"{note}: {MarkedWord(tuple(self.slots), tuple(self.marks))}"
+                f" ; book = {self.book.describe()}")
         if column is not None:
             finite = [int(a) for a in self.slots if a != INF] + [self.i]
             lo, hi = min(finite) - 1, max(finite) + 2

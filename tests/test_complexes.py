@@ -101,6 +101,21 @@ def _decomposition_cases():
     yield SimplicialComplex.from_facets([{1, 2}, {3}])
 
 
+def test_memos_are_bounded():
+    """The three process-global memos share one finite bound, and a repeated
+    call is answered from the memo."""
+    memos = {perms._reduced_words: parse_permutation("[4213]"),
+             complexes._vd_choice: frozenset({0b011, 0b110}),
+             complexes._bs_check: frozenset({(1, 2, 1), (2, 1, 2)})}
+    bounds = {memo.cache_info().maxsize for memo in memos}
+    assert len(bounds) == 1 and None not in bounds
+    for memo, argument in memos.items():
+        first = memo(argument)
+        hits = memo.cache_info().hits
+        assert memo(argument) == first
+        assert memo.cache_info().hits == hits + 1
+
+
 def test_vertex_decomposition_matches_deletion_link_walk():
     """The memoised search picks the same vertex at every node as the plain
     walk over deletions and links, trying vertices in sorted order."""

@@ -86,6 +86,67 @@ def test_distributivity(ta, tb, tc):
     assert a * (b + c) == a * b + a * c
 
 
+_monomials = st.dictionaries(st.integers(-3, 3), st.integers(1, 3), max_size=3).map(
+    lambda exps: tuple(sorted(exps.items())))
+_term_dicts = st.dictionaries(_monomials, st.integers(-3, 3).filter(bool), max_size=6)
+
+
+@st.composite
+def _cancelling_pairs(draw):
+    """Two term dicts, the second negating some terms of the first."""
+    a, b = draw(_term_dicts), draw(_term_dicts)
+    for m in draw(st.sets(st.sampled_from(sorted(a)))) if a else ():
+        b[m] = -a[m]
+    return a, b
+
+
+def _clean(terms):
+    return {m: c for m, c in terms.items() if c}
+
+
+def _dict_add(*dicts):
+    out = {}
+    for terms in dicts:
+        for m, c in terms.items():
+            out[m] = out.get(m, 0) + c
+    return _clean(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cancelling_pairs(), st.integers(-3, 3), st.integers(-3, 3),
+       st.sets(st.integers(-3, 3)))
+def test_folds_match_dict_routes(pair, i, j, kill):
+    """Sums, products, the variable swap and zero substitution, and the JSON
+    round trip (also of a term list naming a monomial twice) agree with
+    plain dict arithmetic and never keep a zero coefficient."""
+    a, b = pair
+    f, g = Polynomial(a), Polynomial(b)
+    neg_b = {m: -c for m, c in b.items()}
+    assert (f + g).terms == _dict_add(a, b)
+    assert (f - g).terms == _dict_add(a, neg_b)
+    assert Polynomial.sum([f, g, f, -g]).terms == _dict_add(a, a)
+    product = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            exps = dict(m1)
+            for k, e in m2:
+                exps[k] = exps.get(k, 0) + e
+            m = tuple(sorted(exps.items()))
+            product[m] = product.get(m, 0) + c1 * c2
+    assert (f * g).terms == _clean(product)
+    swapped = {}
+    for m, c in a.items():
+        exps = dict(m)
+        exps[i], exps[j] = exps.get(j, 0), exps.get(i, 0)
+        key = tuple(sorted((k, e) for k, e in exps.items() if e))
+        swapped[key] = swapped.get(key, 0) + c
+    assert f.swap_variables(i, j).terms == _clean(swapped)
+    assert f.substitute_zero(kill).terms == {m: c for m, c in a.items()
+                                             if not kill & dict(m).keys()}
+    assert Polynomial.from_json(f.to_json()).terms == a
+    assert Polynomial.from_json(f.to_json() + g.to_json()).terms == _dict_add(a, b)
+
+
 def test_printing_and_json():
     p = mono({1: 2, 2: 1}) - mono({-1: 1}, 2) + Polynomial.one()
     assert str(Polynomial.zero()) == "0"
