@@ -172,8 +172,8 @@ def from_json(data: dict) -> SimplicialComplex:
     def unpack(v):
         return tuple(unpack(x) for x in v) if isinstance(v, list) else v
     vertices = tuple(unpack(v) for v in data["vertices"])
-    facets = [frozenset(unpack(v) for v in f) for f in data["facets"]]
-    return SimplicialComplex(vertices, frozenset(facets))
+    facets = [[unpack(v) for v in f] for f in data["facets"]]
+    return SimplicialComplex.from_facets(facets, vertices)
 
 
 # ---------------------------------------------------------------------------

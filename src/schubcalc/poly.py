@@ -219,20 +219,22 @@ def from_tableau_contents(tableaux: Iterable[shapes.Tableau]) -> Polynomial:
 
 
 def schubert(p: Permutation) -> Polynomial:
-    """Sum of x^weight over the reduced pipe dreams for p.
+    """Sum of x^weight over the reduced pipe dreams for p, counted without
+    listing them by the merged-state pass pipedreams.weight_counts:
+    Fomin-Kirillov's row product in the nilCoxeter algebra (1996).
 
     >>> str(schubert(perms.parse_permutation("[321]")))
     'x_1^2 x_2'
     """
-    return from_weights((dream.weight(), 1) for dream in pipedreams.reduced_pipe_dreams(p))
+    return from_weights(pipedreams.weight_counts(p, max_excess=0).items())
 
 
 def grothendieck(p: Permutation) -> Polynomial:
     """Signed sum of x^weight over all pipe dreams for p, the sign being
-    (-1)^excess.
+    (-1)^excess, by the merged-state pass pipedreams.weight_counts:
+    Fomin-Kirillov's row product in the 0-Hecke algebra (1994).
     """
-    return from_weights((dream.weight(), (-1) ** (len(dream.crosses) - p.length))
-                        for dream in pipedreams.all_pipe_dreams(p))
+    return from_weights(pipedreams.weight_counts(p).items())
 
 
 def schur(shape: Shape, n: int) -> Polynomial:
@@ -242,7 +244,7 @@ def schur(shape: Shape, n: int) -> Polynomial:
 
 def fundamental_quasisymmetric(shape: Shape, n: int) -> Polynomial:
     """Generating polynomial of composition tableaux with entries up to n."""
-    return from_tableau_contents(shapes.enumerate_tableaux("ct", shape, n))
+    return Polynomial(dict(_tableau_terms("ct", tuple(shape), n)))
 
 
 def slide(shape: Shape) -> Polynomial:
@@ -251,7 +253,13 @@ def slide(shape: Shape) -> Polynomial:
     The row caps bound every entry by its row index, so no variable beyond
     x_len(shape) can occur and the polynomial needs no truncation parameter.
     """
-    return from_tableau_contents(shapes.enumerate_tableaux("wct", shape, len(shape)))
+    return Polynomial(dict(_tableau_terms("wct", tuple(shape), len(shape))))
+
+
+@perms._memo
+def _tableau_terms(family: str, shape: Shape, n: int) -> tuple[tuple[Monomial, int], ...]:
+    """The terms of one family's generating polynomial, memoised as a tuple."""
+    return tuple(from_tableau_contents(shapes.enumerate_tableaux(family, shape, n)).terms.items())
 
 
 def slide_of_word(word: Word) -> Polynomial:
@@ -268,10 +276,15 @@ def glide(shape: Shape) -> Polynomial:
     """Signed generating polynomial of set-valued weak composition tableaux,
     each weighted by (-1)^(entries beyond one per box).
     """
+    return Polynomial(dict(_glide_terms(tuple(shape))))
+
+
+@perms._memo
+def _glide_terms(shape: Shape) -> tuple[tuple[Monomial, int], ...]:
     base = shapes.size(shape)
-    return from_weights((shapes.set_valued_content(svt),
-                         (-1) ** (shapes.set_valued_size(svt) - base))
-                        for svt in shapes.enumerate_set_valued_wct(shape))
+    return tuple(from_weights((shapes.set_valued_content(svt),
+                               (-1) ** (shapes.set_valued_size(svt) - base))
+                              for svt in shapes.enumerate_set_valued_wct(shape)).terms.items())
 
 
 def glide_of_word(word: Word) -> Polynomial:

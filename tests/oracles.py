@@ -7,7 +7,8 @@ code they check:
   1993), against the search in `pipedreams.all_pipe_dreams`;
 - `grothendieck_by_divided_differences` starts from G_{w0} and applies
   isobaric divided differences (Lascoux-Schuetzenberger; Fomin-Kirillov
-  1994), never looking at a pipe dream;
+  1994), never looking at a pipe dream, to all of S_n, and
+  `grothendieck_by_divided_differences_at` down one chain to one p;
 - `schubert_from_words` sums over reduced words and compatible sequences,
   and `glide_from_kompositions` over glide kompositions, found by filtering
   every candidate in `glide_kompositions`, against the pipe dream and
@@ -150,6 +151,23 @@ def grothendieck_by_divided_differences(n):
                     below.append(v)
         layer = below
     return out
+
+
+def grothendieck_by_divided_differences_at(p, n):
+    """G_p for one p in S_n by the same divided differences, along a single
+    chain: raise p by ascents s_{i_1}, ..., s_{i_m} to w0, so that
+    G_p = pi_{i_1} ... pi_{i_m} G_{w0}."""
+    images, ascents = list(p.one_line(1, n)), []
+    while True:
+        i = next((i for i in range(n - 1) if images[i] < images[i + 1]), None)
+        if i is None:
+            break
+        images[i], images[i + 1] = images[i + 1], images[i]
+        ascents.append(i + 1)
+    g = Polynomial.monomial({i: n - i for i in range(1, n)})
+    for i in reversed(ascents):
+        g = isobaric_divided_difference(g, i)
+    return g
 
 
 def schubert_from_words(p):

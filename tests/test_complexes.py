@@ -434,6 +434,16 @@ def test_word_embeddings():
     assert word_embeddings(parse_word("11"), parse_word("121")) == []
 
 
+def test_from_json_keeps_maximal_facets():
+    """JSON listing a non-maximal facet loads to the same complex as JSON
+    without it, and to_json round-trips."""
+    wide = complexes.from_json({"vertices": [1, 2], "facets": [[1, 2], [1]]})
+    tight = complexes.from_json({"vertices": [1, 2], "facets": [[1, 2]]})
+    assert wide == tight and wide.facets == frozenset({frozenset({1, 2})})
+    assert complexes.from_json(wide.to_json()) == wide
+    assert wide.to_json() == {"vertices": [1, 2], "facets": [[1, 2]]}
+
+
 def test_json_and_renderers():
     c = subword_complex(parse_word("321323"), parse_permutation("[1432]"))
     assert complexes.from_json(c.to_json()) == c

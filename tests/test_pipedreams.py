@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,6 +19,7 @@ from schubcalc.pipedreams import (
     reduced_pipe_dreams,
     staircase_cells,
     triangular_word,
+    weight_counts,
 )
 
 from oracles import (
@@ -190,6 +192,31 @@ def test_all_pipe_dreams_matches_subset_scan(m):
         assert all_pipe_dreams(p) == expected(p, size, None)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_weight_counts_match_the_listing(m):
+    """The merged-state pass counts, by weight and with sign (-1)^excess,
+    exactly the dreams the enumerator lists."""
+    for p in symmetric_group(m):
+        for max_excess in (0, None):
+            listed = Counter()
+            for dream in all_pipe_dreams(p, max_excess=max_excess):
+                listed[dream.weight()] += (-1) ** (len(dream.crosses) - p.length)
+            assert weight_counts(p, max_excess=max_excess) == dict(listed), (str(p), max_excess)
+
+
+def test_search_built_dreams_equal_checked_ones():
+    """The search builds its dreams without the staircase check; they equal,
+    and hash like, dreams built through the checking constructor, which
+    still rejects a cross outside the staircase."""
+    for dream in all_pipe_dreams(parse_permutation("[1432]")):
+        checked = PipeDream(dream.n, dream.crosses)
+        assert checked == dream and hash(checked) == hash(dream)
+    with pytest.raises(ValueError):
+        PipeDream(3, frozenset({(2, 2)}))
+    with pytest.raises(ValueError):
+        pipedreams.from_json({"size": 3, "crosses": [[1, 3]]})
+
+
 def test_all_pipe_dreams_outside_positive_support():
     """A permutation moving 0 or -1 has no pipe dream in any staircase."""
     for p in [Permutation(0, (1, 0)), Permutation(-1, (0, -1)),
@@ -198,8 +225,11 @@ def test_all_pipe_dreams_outside_positive_support():
         for n in range(0, 6):
             for max_excess in (None, 0, 2):
                 assert all_pipe_dreams(p, n, max_excess) == frozenset(), (str(p), n)
+                assert weight_counts(p, n, max_excess) == {}, (str(p), n)
         with pytest.raises(ValueError):
             all_pipe_dreams(p)
+        with pytest.raises(ValueError):
+            weight_counts(p)
 
 
 def test_render_and_json():

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schubcalc import pipedreams, shapes
+from schubcalc import perms, pipedreams, poly, shapes
 from schubcalc.perms import Permutation, parse_permutation, parse_word, symmetric_group
 from schubcalc.poly import (
     Polynomial,
@@ -29,6 +29,7 @@ from oracles import (
     glide_from_kompositions,
     glide_of_word_by_filter,
     grothendieck_by_divided_differences,
+    grothendieck_by_divided_differences_at,
     schubert_from_words,
 )
 
@@ -194,6 +195,22 @@ def test_grothendieck_matches_divided_differences(n):
         assert grothendieck(p) == g, str(p)
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_families_match_second_routes_on_a_sample(n):
+    """On a seeded sample of S7 and S8 the merged-state pass agrees with
+    divided differences down a chain from G_{w0}, and with the reduced-word
+    route for Schubert where that route stays cheap (length at most 10: a
+    random S8 permutation can have millions of reduced words)."""
+    rng = random.Random(n)
+    for _ in range(12):
+        p = Permutation.from_one_line(rng.sample(range(1, n + 1), n))
+        g = grothendieck(p)
+        assert g == grothendieck_by_divided_differences_at(p, n), str(p)
+        assert g.lowest_degree_part() == schubert(p), str(p)
+        if p.length <= 10:
+            assert schubert(p) == schubert_from_words(p), str(p)
+
+
 def test_grothendieck_s7_transposition():
     """A single transposition in S7, out of reach of a scan over the 2^21
     subsets of the staircase."""
@@ -336,6 +353,25 @@ def test_glide_two_routes_agree():
         for parts in range(0, 4):
             for lam in compositions_weak(total, parts):
                 assert glide(lam) == glide_from_kompositions(lam), lam
+
+
+def test_slide_glide_and_fundamental_memos():
+    """Each composition is computed once per process; every call still
+    returns a fresh Polynomial, so mutating one leaves the memo intact."""
+    memos = ((lambda: slide((0, 2, 1)), poly._tableau_terms),
+             (lambda: glide((0, 2, 1)), poly._glide_terms),
+             (lambda: fundamental_quasisymmetric((2, 1), 3), poly._tableau_terms))
+    for call, memo in memos:
+        assert memo.cache_info().maxsize == perms._reduced_words.cache_info().maxsize
+        first = call()
+        hits = memo.cache_info().hits
+        second = call()
+        assert memo.cache_info().hits == hits + 1
+        assert first is not second and first == second
+        expected = dict(second.terms)
+        first.terms.clear()
+        second.terms[((1, 1),)] = 7
+        assert call().terms == expected
 
 
 def test_glide_lowest_degree_is_slide():
