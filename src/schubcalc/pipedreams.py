@@ -9,12 +9,11 @@ the compatible sequence, and the pair determines the pipe dream.
 The permutation of a pipe dream is the Demazure product of its reading word;
 the dream is reduced when the word is, equivalently when its excess is 0.
 
-Two searches walk the staircase cells on plain tuples of images, and each
-prune of both is written once, in _transitions.  all_pipe_dreams lists the
-dreams depth first; weight_counts merges the paths that share a state and
-counts the dreams by weight, all that the Schubert and Grothendieck
-polynomials need.  The quasi-Yamanouchi dream of a word is read off its
-greatest compatible row sequence, with no enumeration.
+One search, _search, holds every prune and merges the paths that share a
+state.  all_pipe_dreams codes a dream by its cells and lists the dreams;
+weight_counts codes it by its weight and counts them, as the Schubert and
+Grothendieck polynomials need.  The quasi-Yamanouchi dream of a word is read
+off its greatest compatible row sequence, with no enumeration.
 chute_moves and ladder_moves act on one dream; their closure from the
 bottom pipe dream (Bergeron-Billey, "RC-graphs and Schubert polynomials",
 1993) is the independent route that tests/oracles.py checks the reduced
@@ -24,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 from . import perms
 from .perms import Permutation, Word
@@ -45,7 +45,8 @@ class PipeDream:
     def _trusted(n: int, crosses: frozenset[tuple[int, int]]) -> "PipeDream":
         """A dream whose crosses are known to lie in the staircase, unchecked."""
         dream = object.__new__(PipeDream)
-        dream.__dict__.update(n=n, crosses=crosses)
+        object.__setattr__(dream, "n", n)
+        object.__setattr__(dream, "crosses", crosses)
         return dream
 
     @staticmethod
@@ -193,55 +194,67 @@ def staircase_cells(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((r, c) for r in range(1, n) for c in range(n - r, 0, -1))
 
 
-def _transitions(p: Permutation, n: int, max_excess: int | None):
-    """The one pruning rule of both pipe-dream searches, or None when no pipe
-    dream of size n has permutation p and excess at most max_excess.
+def _search(p: Permutation, n: int, max_excess: int | None,
+            pieces: list[int]) -> dict[int, int]:
+    """{code: (-1)^excess * count} over the pipe dreams of size n for p with
+    excess at most max_excess, a dream's code being the sum of pieces[k]
+    over its crosses k in reading order.  Every prune is written here once.
 
-    The searches walk the cells in reading order carrying x, the Demazure
-    product of the crosses taken so far, as the tuple of the images of 1..n,
-    with its length and, under a finite max_excess, its excess.
-    step(cell, x, length, excess) returns (skip, take): whether the cell may
-    stay empty, and the state after taking its letter, None when pruned.
-    Taking the letter a swaps the images at a and a+1 when they ascend, else
-    raises the excess.  A branch lives only while (a) x <= p in Bruhat
-    order, and (b) x followed by every remaining letter has Demazure product
-    >= p.  Before cell (r, c) those letters are r+c-1, ..., r and then the
-    full rows below, so x followed by them is max(x(r..r+c)) at r, then the
-    rest of x(r..n) decreasing.  By the tableau criterion, given (a), (b)
-    says x agrees with p on 1..r-1 (tested once per row, when its last cell
-    is skipped) and max(x(r..r+c)) >= p(r).  Taking a cell keeps (b), and so
-    does skipping a descent of x, as x s_a = x.  Taking a right descent of p
-    keeps (a) (Deodhar's lifting property), so only the other lengthening
-    letters consult the Bruhat test, memoised per call.  At the end (a) and
-    (b) say x == p.  The excess never falls, which bounds it by max_excess.
+    The walk visits the cells in reading order carrying a state: x, the
+    Demazure product of the crosses taken so far as the tuple of the images
+    of 1..n, its length and, under a finite max_excess, its excess.  Taking
+    the letter a swaps the images at a and a+1 when they ascend, else raises
+    the excess and flips the sign.  A branch lives only while (a) x <= p in
+    Bruhat order, and (b) x followed by every remaining letter has Demazure
+    product >= p.  Before cell (r, c) those letters are r+c-1, ..., r and
+    then the full rows below, whose product is w0 on positions r+1..n, so x
+    followed by them is max(x(r..r+c)) at r, then the rest of x(r..n)
+    decreasing.  By the tableau criterion, given (a), (b) says x agrees with
+    p on 1..r-1 (tested once per row, when its last cell is skipped) and
+    max(x(r..r+c)) >= p(r).  Taking a cell keeps (b), and so does skipping a
+    descent of x, as x s_a = x.  Taking a right descent of p keeps (a)
+    (Deodhar's lifting property), so only the other lengthening letters
+    consult the Bruhat test, memoised per call.  At the end (a) and (b) say
+    x == p.  The paths that reach one state share one map from code to
+    signed count: Fomin-Kirillov's row product in the nilCoxeter and 0-Hecke
+    algebras ("The Yang-Baxter equation, symmetric functions, and Schubert
+    polynomials", 1996; "Grothendieck polynomials and the Yang-Baxter
+    equation", 1994).
     """
     if (max_excess is not None and max_excess < 0
             or p.support is not None and (p.support[0] < 1 or p.support[1] > n)):
-        return None
+        return {}
     target = p.one_line(1, n)
-    target_length = p.length
     below: dict[tuple[int, ...], bool] = {}
-
-    def step(cell: tuple[int, int], x: tuple[int, ...], length: int, excess: int):
-        r, c = cell
+    states = {(tuple(range(1, n + 1)), 0, 0): {0: 1}}
+    for (r, c), piece in zip(staircase_cells(n), pieces):
         i = r + c - 2  # the letter r + c - 1 acts on the images at i and i + 1
-        u, v = x[i], x[i + 1]
-        skip = u > v or (max(x[r - 1:i + 1]) >= target[r - 1] if c > 1 else u == target[i])
-        if u > v:
-            if max_excess is None:
-                return skip, (x, length, excess)
-            return skip, (x, length, excess + 1) if excess < max_excess else None
-        y = x[:i] + (v, u) + x[i + 2:]
-        if target[i] < target[i + 1]:
-            ok = below.get(y)
-            if ok is None:
-                ok = below[y] = (length < target_length
-                                 and perms._bruhat_leq_images(y, target, 1))
-            if not ok:
-                return skip, None
-        return skip, (y, length + 1, excess)
-
-    return step
+        merged: dict = {}
+        for (x, length, excess), counts in states.items():
+            u, v = x[i], x[i + 1]
+            moves = []
+            if u > v or (max(x[r - 1:i + 1]) >= target[r - 1] if c > 1 else u == target[i]):
+                moves.append(((x, length, excess), counts))
+            if u > v and (max_excess is None or excess < max_excess):
+                moves.append(((x, length, excess + (max_excess is not None)),
+                              {code + piece: -m for code, m in counts.items()}))
+            elif u < v:
+                y = x[:i] + (v, u) + x[i + 2:]
+                ok = target[i] > target[i + 1] or below.get(y)
+                if ok is None:
+                    ok = below[y] = length < p.length and perms._bruhat_leq_images(y, target, 1)
+                if ok:
+                    moves.append(((y, length + 1, excess),
+                                  {code + piece: m for code, m in counts.items()}))
+            for key, more in moves:  # a new key adopts its map
+                into = merged.setdefault(key, more)
+                if into is not more:
+                    for code, m in more.items():
+                        into[code] = into.get(code, 0) + m
+        states = merged
+    # one final state per excess, whose codes never meet
+    return {code: m for (x, _, _), counts in states.items() if x == target
+            for code, m in counts.items()}
 
 
 def all_pipe_dreams(p: Permutation, n: int | None = None,
@@ -252,75 +265,31 @@ def all_pipe_dreams(p: Permutation, n: int | None = None,
     has Demazure product p; size ambient_size(p) suffices.  By Knutson-Miller
     ("Subword complexes in Coxeter groups", 2004) they are the complements
     of the interior faces of the subword complex of triangular_word(n) and
-    p.  A depth-first search, pruned by _transitions, lists them.
+    p.  _search lists them, coding each by one byte per cell, 1 for a cross.
     """
     if n is None:
         n = ambient_size(p)
-    step = _transitions(p, n, max_excess)
-    if step is None:
-        return frozenset()
     cells = staircase_cells(n)
-    out = []
-    taken: list[tuple[int, int]] = []
-
-    def walk(k: int, x: tuple[int, ...], length: int, excess: int) -> None:
-        if k == len(cells):
-            out.append(PipeDream._trusted(n, frozenset(taken)))
-            return
-        skip, take = step(cells[k], x, length, excess)
-        if skip:
-            walk(k + 1, x, length, excess)
-        if take is not None:
-            taken.append(cells[k])
-            walk(k + 1, *take)
-            taken.pop()
-
-    walk(0, tuple(range(1, n + 1)), 0, 0)
-    return frozenset(out)
+    codes = _search(p, n, max_excess, [1 << 8 * k for k in range(len(cells))])
+    return frozenset(PipeDream._trusted(n, frozenset(compress(cells, code.to_bytes(len(cells), "little"))))
+                     for code in codes)
 
 
-def weight_counts(p: Permutation, n: int | None = None,
-                  max_excess: int | None = None) -> dict[tuple[int, ...], int]:
-    """{weight: signed count} over all_pipe_dreams(p, n, max_excess), each
-    dream signed by (-1)^excess, by Fomin-Kirillov's row product in the
-    nilCoxeter or 0-Hecke algebra ("The Yang-Baxter equation, symmetric
-    functions, and Schubert polynomials", 1996; "Grothendieck polynomials and
-    the Yang-Baxter equation", 1994): the paths that reach one state of
-    _transitions at one cell share one map from weight, coded by its base-n
-    digits, to signed count.  A non-lengthening take flips the sign.
+def weight_counts(p: Permutation, max_excess: int | None = None) -> dict[tuple[int, ...], int]:
+    """{weight: (-1)^excess * count} over all_pipe_dreams(p, max_excess=...),
+    listing no dream: _search codes a weight by its base-n digits, as no row
+    holds n crosses.
 
     >>> sorted(weight_counts(perms.parse_permutation("[132]")).items())
     [((0, 1), 1), ((1,), 1), ((1, 1), -1)]
     """
-    if n is None:
-        n = ambient_size(p)
-    step = _transitions(p, n, max_excess)
-    states = {(tuple(range(1, n + 1)), 0, 0): {0: 1}} if step else {}
-    for cell in staircase_cells(n):
-        piece = n ** (cell[0] - 1)
-        merged: dict = {}
-        for state, counts in states.items():
-            skip, take = step(cell, *state)
-            moves = [(state, counts)] if skip else []
-            if take is not None:
-                sign = 1 if take[1] > state[1] else -1
-                moves.append((take, {code + piece: sign * m for code, m in counts.items()}))
-            for key, more in moves:  # a new key adopts its dict
-                into = merged.setdefault(key, more)
-                if into is not more:
-                    for code, m in more.items():
-                        into[code] = into.get(code, 0) + m
-        states = merged
-    out = {}
-    for (x, _, _), counts in states.items():
-        if x == p.one_line(1, n):  # one state per excess, so the weights never meet
-            for code, count in counts.items():
-                weight = []
-                while code:
-                    code, row = divmod(code, n)
-                    weight.append(row)
-                out[tuple(weight)] = count
-    return out
+    n = ambient_size(p)
+
+    def weight(code: int) -> tuple[int, ...]:
+        return (code % n,) + weight(code // n) if code else ()
+
+    codes = _search(p, n, max_excess, [n ** (r - 1) for r, _ in staircase_cells(n)])
+    return {weight(code): count for code, count in codes.items()}
 
 
 def is_quasi_yamanouchi(dream: PipeDream) -> bool:

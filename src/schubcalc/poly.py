@@ -205,11 +205,6 @@ def from_weights(pairs: Iterable[tuple[tuple[int, ...], int]]) -> Polynomial:
                     for weight, count in counts.items())
 
 
-def _signed(term: Polynomial, excess: int) -> Polynomial:
-    """(-1)^excess times the term."""
-    return -term if excess % 2 else term
-
-
 def from_tableau_contents(tableaux: Iterable[shapes.Tableau]) -> Polynomial:
     return from_weights((shapes.content(t), 1) for t in tableaux)
 
@@ -219,9 +214,8 @@ def from_tableau_contents(tableaux: Iterable[shapes.Tableau]) -> Polynomial:
 
 
 def schubert(p: Permutation) -> Polynomial:
-    """Sum of x^weight over the reduced pipe dreams for p, counted without
-    listing them by the merged-state pass pipedreams.weight_counts:
-    Fomin-Kirillov's row product in the nilCoxeter algebra (1996).
+    """Sum of x^weight over the reduced pipe dreams for p, counted by the
+    merged-state pass pipedreams.weight_counts (Fomin-Kirillov, 1996).
 
     >>> str(schubert(perms.parse_permutation("[321]")))
     'x_1^2 x_2'
@@ -231,8 +225,7 @@ def schubert(p: Permutation) -> Polynomial:
 
 def grothendieck(p: Permutation) -> Polynomial:
     """Signed sum of x^weight over all pipe dreams for p, the sign being
-    (-1)^excess, by the merged-state pass pipedreams.weight_counts:
-    Fomin-Kirillov's row product in the 0-Hecke algebra (1994).
+    (-1)^excess, by the merged-state pass weight_counts (Fomin-Kirillov, 1994).
     """
     return from_weights(pipedreams.weight_counts(p).items())
 
@@ -338,5 +331,6 @@ def expand_grothendieck_into_glides(p: Permutation) -> dict[pipedreams.PipeDream
     """
     out = {}
     for dream in pipedreams.quasi_yamanouchi_pipe_dreams(p, reduced_only=False):
-        out[dream] = _signed(glide(dream.weight()), len(dream.crosses) - p.length)
+        term = glide(dream.weight())
+        out[dream] = -term if (len(dream.crosses) - p.length) % 2 else term
     return out
