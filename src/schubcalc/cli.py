@@ -161,8 +161,31 @@ def _cmd_pipedreams(args) -> int:
 # -- complex -------------------------------------------------------------
 
 
+def _subword_from_args(args) -> complexes.SimplicialComplex:
+    return complexes.subword_complex(perms.parse_word(_require(args, "word", "--word")),
+                                     perms.parse_permutation(_require(args, "perm", "--perm")))
+
+
+def _word_set_from_args(args) -> complexes.SimplicialComplex:
+    words = [perms.parse_word(w) for w in _require(args, "words", "--words").split(";")]
+    return complexes.word_set_complex(perms.parse_word(_require(args, "word", "--word")), words)
+
+
+_COMPLEX_BUILDERS = {
+    "subword": _subword_from_args,
+    "sr-generators": _subword_from_args,
+    "slide": lambda args: complexes.slide_complex(
+        perms.parse_word(_require(args, "word", "--word")),
+        perms.parse_word(_require(args, "target", "--target"))),
+    "delta-w": _word_set_from_args,
+    "tableau": lambda args: complexes.tableau_complex(
+        args.family, _parse_shape(_require(args, "shape", "--shape")), args.vars),
+}
+
+
 def _complex_from_args(args) -> complexes.SimplicialComplex:
-    if args.kind == "classify":
+    kind = args.kind
+    if kind == "classify":
         # infer the complex family from the flags that were supplied
         if args.shape is not None:
             kind = "tableau"
@@ -172,22 +195,7 @@ def _complex_from_args(args) -> complexes.SimplicialComplex:
             kind = "delta-w"
         else:
             kind = "subword"
-    else:
-        kind = args.kind
-    if kind in ("subword", "sr-generators"):
-        return complexes.subword_complex(perms.parse_word(_require(args, "word", "--word")),
-                                         perms.parse_permutation(_require(args, "perm", "--perm")))
-    if kind == "slide":
-        return complexes.slide_complex(perms.parse_word(_require(args, "word", "--word")),
-                                       perms.parse_word(_require(args, "target", "--target")))
-    if kind == "delta-w":
-        words = [perms.parse_word(w) for w in _require(args, "words", "--words").split(";")]
-        return complexes.word_set_complex(perms.parse_word(_require(args, "word", "--word")), words)
-    if kind == "tableau":
-        return complexes.tableau_complex(args.family,
-                                         _parse_shape(_require(args, "shape", "--shape")),
-                                         args.vars)
-    raise AssertionError  # pragma: no cover
+    return _COMPLEX_BUILDERS[kind](args)
 
 
 def _cmd_complex(args) -> int:

@@ -121,8 +121,9 @@ class SimplicialComplex:
             raise ValueError("deletion requires a face")
         if not m:
             return self
-        return SimplicialComplex.from_facets((_face(self._view[0], f & ~m) for f in self._view[2]),
-                                             (v for v in self.vertices if v not in probe))
+        order, _, masks = self._view
+        return SimplicialComplex(tuple(v for v in self.vertices if v not in probe),
+                                 _maximal_faces(order, {f & ~m for f in masks}))
 
     def link(self, face: Iterable[Vertex]) -> "SimplicialComplex":
         """Faces disjoint from the given face whose union with it is a face."""
@@ -131,14 +132,9 @@ class SimplicialComplex:
         if m is None:
             raise ValueError("link requires a face")
         order, _, masks = self._view
-        kept = [f ^ m for f in masks if f & m == m]
-        # f ^ m < g ^ m gives f < g, which only facets built non-maximal have;
-        # masks of the top size are maximal, so a pure complex skips the scan
-        top = max(g.bit_count() for g in kept)
-        return SimplicialComplex(
-            tuple(v for v in self.vertices if v not in probe),
-            frozenset(_face(order, g) for g in kept
-                      if g.bit_count() == top or not any(g & h == g and g != h for h in kept)))
+        # f ^ m < g ^ m gives f < g, which only facets built non-maximal have
+        return SimplicialComplex(tuple(v for v in self.vertices if v not in probe),
+                                 _maximal_faces(order, {f ^ m for f in masks if f & m == m}))
 
     def cone_vertices(self) -> tuple:
         if self.is_void:
@@ -203,6 +199,14 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 def _face(order: tuple, mask: int) -> Face:
     """The vertices of a mask: its binary digits, lowest first, select them."""
     return frozenset(itertools.compress(order, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
+
+
+def _maximal_faces(order: tuple, masks: set[int]) -> frozenset[Face]:
+    """The faces of the masks no other mask contains.  Masks of the top size
+    are maximal, so only the smaller ones are scanned: none on a pure set."""
+    top = max(g.bit_count() for g in masks)
+    return frozenset(_face(order, g) for g in masks
+                     if g.bit_count() == top or not any(g & h == g and g != h for h in masks))
 
 
 def _ridge_counts(facets: Iterable[int]) -> Counter[int]:

@@ -308,18 +308,23 @@ def is_reduced(word: Sequence[int]) -> bool:
 
 
 def demazure(word: Sequence[int]) -> Permutation:
-    """Demazure (0-Hecke) product: each letter acts only when it lengthens.
+    """Demazure (0-Hecke) product: each letter acts only when it lengthens,
+    i.e. swaps the images of a and a+1 only when they ascend.
 
     >>> demazure(()) == Permutation.identity()
     True
     >>> demazure((1, 1)) == Permutation.simple(1)
     True
     """
-    result = Permutation.identity()
+    if not word:
+        return Permutation.identity()
+    lo = min(word)
+    images = list(range(lo, max(word) + 2))
     for a in word:
-        if result(a) < result(a + 1):
-            result = result.right_mul_simple(a)
-    return result
+        a -= lo
+        if images[a] < images[a + 1]:
+            images[a], images[a + 1] = images[a + 1], images[a]
+    return Permutation(lo, tuple(images))
 
 
 # The one memo of the library's recursions (reduced words here, the vertex-

@@ -14,9 +14,18 @@ Four single-valued tableau families are supported:
 - "wct":  weak composition shape, the "ct" conditions plus the cap that a
           box in row i holds a value at most i.
 
-For "ct" and "wct" the box order is lexicographic on (row, col), so the
-reading word is weakly increasing and the tableau is determined by its
-content.
+Filling the boxes in reading order (row by row, left to right), ssyt, ct
+and wct give each box an entry between a lower bound and a cap:
+
+- lower bound: at least the largest entry to its left; for "ssyt" more
+  than the entry above it, for "ct" and "wct" more than every entry of the
+  earlier rows;
+- cap: n, and for "wct" also the box's row index.
+
+A set-valued "wct" tableau fills each box with a non-empty set under the
+same bounds, its largest element standing for the box's largest entry.
+For "ct" and "wct" the reading word is weakly increasing, so the tableau
+is determined by its content.
 """
 from __future__ import annotations
 
@@ -124,14 +133,17 @@ def shape_of(tableau: Tableau) -> Shape:
     return tuple(len(row) for row in tableau)
 
 
+def _tally(values: list[int]) -> Shape:
+    """Weak composition counting how often each value 1, 2, ... occurs."""
+    counts = [0] * max(values, default=0)
+    for v in values:
+        counts[v - 1] += 1
+    return tuple(counts)
+
+
 def content(tableau: Tableau) -> Shape:
     """Weak composition counting the boxes holding each value."""
-    top = max((v for row in tableau for v in row), default=0)
-    counts = [0] * top
-    for row in tableau:
-        for v in row:
-            counts[v - 1] += 1
-    return tuple(counts)
+    return _tally([v for row in tableau for v in row])
 
 
 def _rows_weakly_increasing(tableau: Tableau) -> bool:
@@ -190,9 +202,43 @@ def enumerate_tableaux(family: str, shape: Shape, n: int) -> tuple[Tableau, ...]
 
     if family == "syt":
         return tuple(_enumerate_syt(shape, n))
-    if family == "ssyt":
-        return tuple(_enumerate_ssyt(shape, n))
-    return tuple(_enumerate_row_tableaux(family, shape, n))
+    return _fill(shape, n, family, lambda low, cap: range(low, cap + 1), int)
+
+
+def _fill(shape: Shape, n: int, family: str, fills, largest) -> tuple:
+    """Every filling of an ssyt, ct or wct shape within the per-box bounds of
+    the module docstring, ordered box by box in reading order.
+
+    `fills(low, cap)` lists, in order, what may go in a box whose entries
+    lie in low..cap; `largest(box)` is the largest entry of what went in.
+    """
+    cap = [min(n, r + 1) if family == "wct" else n for r in range(len(shape))]
+    results: list[tuple] = []
+    done: list[tuple] = []  # the full rows above row r
+
+    def place(r: int, row: list, top: int) -> None:
+        # top is the largest entry so far: the box to the left's, or at the
+        # start of a row the largest of the earlier rows
+        if r == len(shape):
+            results.append(tuple(done))
+            return
+        c = len(row)
+        if c == shape[r]:
+            done.append(tuple(row))
+            place(r + 1, [], top)
+            done.pop()
+            return
+        if family != "ssyt":
+            low = top if c else top + 1
+        else:
+            low = max(top if c else 1, largest(done[r - 1][c]) + 1 if r else 1)
+        for box in fills(low, cap[r]):
+            row.append(box)
+            place(r, row, largest(box))
+            row.pop()
+
+    place(0, [], 0)
+    return tuple(results)
 
 
 def _enumerate_syt(shape: Shape, n: int) -> Iterator[Tableau]:
@@ -216,69 +262,6 @@ def _enumerate_syt(shape: Shape, n: int) -> Iterator[Tableau]:
             rows[r][c] = 0
 
     yield from place(1)
-
-
-def _enumerate_ssyt(shape: Shape, n: int) -> Iterator[Tableau]:
-    rows: list[tuple[int, ...]] = []
-
-    def fill_row(r: int) -> Iterator[Tableau]:
-        if r == len(shape):
-            yield tuple(rows)
-            return
-        width = shape[r]
-
-        def fill_cell(c: int, row: list[int]) -> Iterator[Tableau]:
-            if c == width:
-                rows.append(tuple(row))
-                yield from fill_row(r + 1)
-                rows.pop()
-                return
-            low = 1
-            if c > 0:
-                low = max(low, row[c - 1])
-            if r > 0:
-                low = max(low, rows[r - 1][c] + 1)
-            for v in range(low, n + 1):
-                row.append(v)
-                yield from fill_cell(c + 1, row)
-                row.pop()
-
-        yield from fill_cell(0, [])
-
-    yield from fill_row(0)
-
-
-def _enumerate_row_tableaux(family: str, shape: Shape, n: int) -> Iterator[Tableau]:
-    """ct and wct share row-strict separation; wct caps row i at i."""
-    rows: list[tuple[int, ...]] = []
-
-    def fill_row(r: int, floor: int) -> Iterator[Tableau]:
-        if r == len(shape):
-            yield tuple(rows)
-            return
-        width = shape[r]
-        if width == 0:
-            rows.append(())
-            yield from fill_row(r + 1, floor)
-            rows.pop()
-            return
-        cap = min(n, r + 1) if family == "wct" else n
-
-        def fill_cell(c: int, row: list[int]) -> Iterator[Tableau]:
-            if c == width:
-                rows.append(tuple(row))
-                yield from fill_row(r + 1, row[-1])
-                rows.pop()
-                return
-            low = floor + 1 if c == 0 else row[c - 1]
-            for v in range(low, cap + 1):
-                row.append(v)
-                yield from fill_cell(c + 1, row)
-                row.pop()
-
-        yield from fill_cell(0, [])
-
-    yield from fill_row(0, 0)
 
 
 def standardize(tableau: Tableau) -> Tableau:
@@ -353,13 +336,7 @@ def set_valued_size(svt: SetValuedTableau) -> int:
 
 
 def set_valued_content(svt: SetValuedTableau) -> Shape:
-    top = max((v for row in svt for box in row for v in box), default=0)
-    counts = [0] * top
-    for row in svt:
-        for box in row:
-            for v in box:
-                counts[v - 1] += 1
-    return tuple(counts)
+    return _tally([v for row in svt for box in row for v in box])
 
 
 def kontent(svt: SetValuedTableau) -> Komposition:
@@ -412,48 +389,19 @@ def enumerate_set_valued_wct(shape: Shape) -> tuple[SetValuedTableau, ...]:
     weak composition tableau.
 
     The defining conditions are pairwise order constraints, so quantifying
-    over selections reduces to max/min comparisons between neighbouring
-    boxes and rows.
+    over selections reduces to the per-box bounds of the module docstring,
+    each set's largest element against the bounds of the next box.
     """
     if not is_weak_composition(shape):
         raise ValueError("expected a weak composition shape")
-    results: list[SetValuedTableau] = []
-    rows: list[tuple[frozenset[int], ...]] = []
+    return _fill(shape, len(shape), "wct", _nonempty_sets, max)
 
-    def candidate_sets(low: int, cap: int) -> Iterator[frozenset[int]]:
-        values = range(low, cap + 1)
-        for r in range(1, cap - low + 2):
-            for combo in itertools.combinations(values, r):
-                yield frozenset(combo)
 
-    def fill_row(r: int, floor: int) -> None:
-        if r == len(shape):
-            results.append(tuple(rows))
-            return
-        width = shape[r]
-        if width == 0:
-            rows.append(())
-            fill_row(r + 1, floor)
-            rows.pop()
-            return
-        cap = r + 1
-
-        def fill_cell(c: int, row: list[frozenset[int]], prev_max: int) -> None:
-            if c == width:
-                rows.append(tuple(row))
-                fill_row(r + 1, max(max(b) for b in row))
-                rows.pop()
-                return
-            low = floor + 1 if c == 0 else prev_max
-            for box in candidate_sets(low, cap):
-                row.append(box)
-                fill_cell(c + 1, row, max(box))
-                row.pop()
-
-        fill_cell(0, [], 0)
-
-    fill_row(0, 0)
-    return tuple(results)
+def _nonempty_sets(low: int, cap: int) -> Iterator[frozenset[int]]:
+    values = range(low, cap + 1)
+    for r in range(1, len(values) + 1):
+        for combo in itertools.combinations(values, r):
+            yield frozenset(combo)
 
 
 def is_glide(kappa: Komposition, shape: Sequence[int]) -> bool:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -30,6 +31,7 @@ from schubcalc.perms import (
 
 from oracles import (
     cross_labels_by_walk,
+    demazure_step,
     prod_word_by_simples,
     random_words,
     wiring_label_by_walk,
@@ -162,6 +164,7 @@ def test_prod_word_and_is_reduced_match_products_of_simples():
         expected = prod_word_by_simples(word)
         assert prod_word(word) == expected, word
         assert is_reduced(word) == (expected.length == len(word)), word
+        assert demazure(word) == functools.reduce(demazure_step, word, Permutation.identity()), word
         reduced += is_reduced(word)
     assert 200 <= reduced < 400
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from schubcalc import shapes
@@ -82,6 +84,41 @@ def test_tableau_counts():
     assert len(enumerate_tableaux("wct", (3, 0, 2, 2), 4)) == 5
     assert len(enumerate_tableaux("syt", (3, 2), 5)) == 5
     assert enumerate_tableaux("ssyt", (), 3) == ((),)
+
+
+def _fillings(shape, choices):
+    """Every filling of the shape with one of the choices per box, in
+    lexicographic order of the reading word."""
+    for flat in itertools.product(choices, repeat=sum(shape)):
+        it = iter(flat)
+        yield tuple(tuple(next(it) for _ in range(width)) for width in shape)
+
+
+def test_enumerations_match_membership_filter():
+    """The box-by-box filler lists exactly the fillings the independent
+    membership tests accept: in the same order for the four families, and
+    without repeats for the set-valued weak composition tableaux."""
+    valid = {"syt": shapes.is_partition, "ssyt": shapes.is_partition,
+             "ct": shapes.is_composition, "wct": shapes.is_weak_composition}
+    for total in range(5):
+        for parts in range(5):
+            for lam in compositions_weak(total, parts):
+                for family in shapes.FAMILIES:
+                    if not valid[family](lam):
+                        continue
+                    for n in range(1, 5):
+                        expected = tuple(t for t in _fillings(lam, range(1, n + 1))
+                                         if shapes.is_family_tableau(t, family, n))
+                        assert enumerate_tableaux(family, lam, n) == expected, (family, lam, n)
+    for total in range(4):
+        for parts in range(4):
+            for lam in compositions_weak(total, parts):
+                boxes = [frozenset(c) for r in range(1, parts + 1)
+                         for c in itertools.combinations(range(1, parts + 1), r)]
+                listed = enumerate_set_valued_wct(lam)
+                assert len(set(listed)) == len(listed), lam
+                assert set(listed) == {svt for svt in _fillings(lam, boxes)
+                                       if classify_set_valued(svt, "wct", parts) == "set-valued"}, lam
 
 
 def test_shape_kind_mismatch_rejected():
