@@ -84,13 +84,8 @@ class SimplicialComplex:
 
     def faces(self) -> Iterator[Face]:
         """All faces, deduplicated, in no particular order."""
-        order, _, masks = self._view
-        seen: set[int] = set()
-        for facet in masks:
-            for sub in _submasks(facet):
-                if sub not in seen:
-                    seen.add(sub)
-                    yield _face(order, sub)
+        order = self._view[0]
+        return (_face(order, m) for m in _closure(self._view[2]))
 
     def reduced_euler_characteristic(self) -> int:
         """Alternating sum over all faces, the empty face included, by
@@ -193,6 +188,14 @@ def _submasks(mask: int) -> Iterator[int]:
     yield 0
 
 
+def _closure(masks: Iterable[int]) -> set[int]:
+    """Every submask of every mask: the faces of the complex they generate."""
+    out: set[int] = set()
+    for m in masks:
+        out.update(_submasks(m))
+    return out
+
+
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -202,11 +205,15 @@ def _face(order: tuple, mask: int) -> Face:
 
 
 def _maximal_faces(order: tuple, masks: set[int]) -> frozenset[Face]:
-    """The faces of the masks no other mask contains.  Masks of the top size
-    are maximal, so only the smaller ones are scanned: none on a pure set."""
+    """The faces of the masks no other mask contains: those of the top size,
+    those one size below that are no ridge of them, and those of the smaller
+    masks that a scan finds in no other mask."""
     top = max(g.bit_count() for g in masks)
-    return frozenset(_face(order, g) for g in masks
-                     if g.bit_count() == top or not any(g & h == g and g != h for h in masks))
+    near = {g for g in masks if g.bit_count() == top - 1}
+    if near:
+        near -= {f ^ b for f in masks if f.bit_count() == top for b in _bits(f)}
+    return frozenset(_face(order, g) for g in masks if g.bit_count() == top or g in near
+                     or g.bit_count() < top - 1 and not any(g & h == g and g != h for h in masks))
 
 
 def _ridge_counts(facets: Iterable[int]) -> Counter[int]:
@@ -241,53 +248,50 @@ def _canon(facets: frozenset[int]) -> frozenset[int]:
 # vertex decomposability
 
 
-_LEAF = -1
-
-
 def is_vertex_decomposable(complex_: SimplicialComplex) -> bool:
     """A pure complex qualifies when it is {} or some vertex has vertex-
     decomposable deletion and link.  Vertices are tried in sorted order, so
     for subword complexes the leftmost surviving position is tried first.
     """
-    return _vd_choice(_canon(complex_._view[2])) is not None
+    return _vd_tree(_canon(complex_._view[2])) is not None
 
 
 def vertex_decomposition(complex_: SimplicialComplex):
     """A witness tree: "leaf" for {}, else (vertex, deletion tree, link tree),
-    with the first vertex in sorted order that works and the original labels.
-
-    Returns None when the complex is not vertex-decomposable.  Subtrees of
-    equal facet sets are shared.
+    with the first vertex in sorted order that works and the original labels;
+    None when the complex is not vertex-decomposable.  It is the search's own
+    tree with the sorted vertices for its bits; equal subtrees are shared.
     """
-    order = complex_._view[0]
+    order, _, masks = complex_._view
+    named: dict = {}  # by (id(subtree), labels): hashing nested tuples costs their size
 
-    @functools.cache
-    def witness(facets: frozenset[int]):
-        choice = _vd_choice(_canon(facets))
-        if choice is None:
-            return None
-        if choice == _LEAF:
-            return "leaf"
-        b = list(_bits(functools.reduce(operator.or_, facets)))[choice]
-        return (order[b.bit_length() - 1], witness(_delete(facets, b)), witness(_link(facets, b)))
+    def name(tree, labels: tuple):
+        key = (id(tree), labels)
+        if isinstance(tree, tuple) and key not in named:
+            k, star, deletion, link = tree
+            named[key] = (labels[k], name(deletion, labels[:k] + labels[k + 1:]),
+                          name(link, tuple(v for j, v in enumerate(labels) if star >> j & 1)))
+        return named.get(key, tree)
 
-    return witness(complex_._view[2])
+    return name(_vd_tree(_canon(masks)), order)
 
 
 @perms._memo
-def _vd_choice(facets: frozenset[int]) -> int | None:
-    """The memoised search on canonical facet masks (see _canon), whose used
-    vertices are bits 0..m-1 in sorted order: the first vertex bit whose
-    deletion and link both decompose, _LEAF for {}, None when the complex is
-    not vertex-decomposable.  It only recurses on pure complexes, where
-    `_delete` gives exactly the facets of the deletion."""
+def _vd_tree(facets: frozenset[int]):
+    """The memoised search on canonical facet masks (see _canon) and its
+    witness: "leaf" for {}, None when not vertex-decomposable, else (k, star,
+    deletion tree, link tree) for the first bit k whose deletion and link
+    decompose, star the union of the link's facets.  It recurses on pure
+    complexes only, where `_delete` gives the deletion's facets, on all but k."""
     if facets == frozenset({0}):
-        return _LEAF
+        return "leaf"
     if len({f.bit_count() for f in facets}) == 1:
         for k in range(max(facets).bit_length()):
-            if (_vd_choice(_canon(_delete(facets, 1 << k))) is not None
-                    and _vd_choice(_canon(_link(facets, 1 << k))) is not None):
-                return k
+            deletion = _vd_tree(_canon(_delete(facets, 1 << k)))
+            if deletion is not None:
+                link = _link(facets, 1 << k)
+                if (link_tree := _vd_tree(_canon(link))) is not None:
+                    return k, functools.reduce(operator.or_, link), deletion, link_tree
     return None
 
 
@@ -332,10 +336,8 @@ def boundary_faces(complex_: SimplicialComplex) -> frozenset[Face]:
     """Downward closure of the once-covered codimension-1 faces of a ball:
     their submasks are collected in one set of ints, and each distinct mask
     becomes a frozenset once."""
-    out: set[int] = set()
-    for ridge in _classify(complex_)[2]:
-        out.update(_submasks(ridge))
-    return frozenset(_face(complex_._view[0], m) for m in out)
+    order = complex_._view[0]
+    return frozenset(_face(order, m) for m in _closure(_classify(complex_)[2]))
 
 
 def stanley_reisner_generators(complex_: SimplicialComplex) -> frozenset[Face]:
@@ -493,12 +495,19 @@ def _tableau_elements(t: shapes.Tableau) -> frozenset[TableauVertex]:
                      for r, row in enumerate(t) for c, v in enumerate(row))
 
 
+def _tableau_facets(family: str, shape: shapes.Shape, n: int, ambient) -> tuple[frozenset, dict]:
+    """The ambient filling, by default the union of all family tableaux, and
+    each tableau's facet: its complement inside the ambient filling."""
+    elements = {t: _tableau_elements(t) for t in shapes.enumerate_tableaux(family, shape, n)}
+    ambient = frozenset().union(*elements.values()) if ambient is None else frozenset(ambient)
+    if not all(e <= ambient for e in elements.values()):
+        raise ValueError("ambient filling must contain every family tableau")
+    return ambient, {t: ambient - e for t, e in elements.items()}
+
+
 def tableau_ambient(family: str, shape: shapes.Shape, n: int) -> frozenset[TableauVertex]:
     """Union of all family tableaux, the default ambient set-valued filling."""
-    out: set[TableauVertex] = set()
-    for t in shapes.enumerate_tableaux(family, shape, n):
-        out |= _tableau_elements(t)
-    return frozenset(out)
+    return _tableau_facets(family, shape, n, None)[0]
 
 
 def tableau_complex(family: str, shape: shapes.Shape, n: int,
@@ -506,17 +515,8 @@ def tableau_complex(family: str, shape: shapes.Shape, n: int,
     """Facets are the complements, inside the ambient filling, of the family
     tableaux; general faces are complements of limit set-valued tableaux.
     """
-    tableaux = shapes.enumerate_tableaux(family, shape, n)
-    if ambient is None:
-        ambient = tableau_ambient(family, shape, n)
-    vertices = tuple(sorted(ambient))
-    facets = []
-    for t in tableaux:
-        elements = _tableau_elements(t)
-        if not elements <= ambient:
-            raise ValueError("ambient filling must contain every family tableau")
-        facets.append(frozenset(ambient) - elements)
-    return SimplicialComplex(vertices, frozenset(facets))
+    ambient, facets = _tableau_facets(family, shape, n, ambient)
+    return SimplicialComplex(tuple(sorted(ambient)), frozenset(facets.values()))
 
 
 def elements_to_set_valued(elements: Iterable[TableauVertex],
@@ -543,9 +543,8 @@ def interior_faces(family: str, shape: shapes.Shape, n: int,
     """Faces whose complements are set-valued family tableaux outright (every
     selection in the family), not merely limit set-valued ones.
     """
-    if ambient is None:
-        ambient = tableau_ambient(family, shape, n)
-    complex_ = tableau_complex(family, shape, n, ambient)
+    ambient, facets = _tableau_facets(family, shape, n, ambient)
+    complex_ = SimplicialComplex(tuple(sorted(ambient)), frozenset(facets.values()))
     out = set()
     for face in complex_.faces():
         svt = elements_to_set_valued(ambient - face, shape)
@@ -561,12 +560,11 @@ def ssyt_standardization_decomposition(shape: shapes.Shape, n: int) -> dict[shap
     standardization of the complementary tableau, one subcomplex per standard
     tableau, all inside the common ambient filling.
     """
-    ambient = tableau_ambient("ssyt", shape, n)
+    ambient, facets = _tableau_facets("ssyt", shape, n, None)
     vertices = tuple(sorted(ambient))
     classes: dict[shapes.Tableau, list[Face]] = {}
-    for t in shapes.enumerate_tableaux("ssyt", shape, n):
-        key = shapes.standardize(t)
-        classes.setdefault(key, []).append(frozenset(ambient) - _tableau_elements(t))
+    for t, facet in facets.items():
+        classes.setdefault(shapes.standardize(t), []).append(facet)
     return {key: SimplicialComplex(vertices, frozenset(facets))
             for key, facets in sorted(classes.items())}
 

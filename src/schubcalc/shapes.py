@@ -211,57 +211,70 @@ def _fill(shape: Shape, n: int, family: str, fills, largest) -> tuple:
 
     `fills(low, cap)` lists, in order, what may go in a box whose entries
     lie in low..cap; `largest(box)` is the largest entry of what went in.
+    The search keeps one iterator of choices per filled box on a stack, so
+    its depth does not grow with the shape.
     """
     cap = [min(n, r + 1) if family == "wct" else n for r in range(len(shape))]
+    starts = [0, *itertools.accumulate(shape)]
+    # each box in reading order: its row, its column, where its row starts
+    boxes = [(r, c, starts[r]) for r, width in enumerate(shape) for c in range(width)]
+    filled: list = [None] * len(boxes)
+    done = [()] * len(shape)  # the rows filled so far, as tuples
+    if not boxes:
+        return (tuple(done),)
     results: list[tuple] = []
-    done: list[tuple] = []  # the full rows above row r
-
-    def place(r: int, row: list, top: int) -> None:
-        # top is the largest entry so far: the box to the left's, or at the
-        # start of a row the largest of the earlier rows
-        if r == len(shape):
+    stack = [iter(fills(1, cap[boxes[0][0]]))]  # every family's first box starts at 1
+    while stack:
+        box = next(stack[-1], None)
+        if box is None:
+            stack.pop()
+            continue
+        k = len(stack) - 1
+        filled[k] = box
+        r, c, start = boxes[k]
+        if c == shape[r] - 1:
+            done[r] = tuple(filled[start:k + 1])
+        if k + 1 == len(boxes):
             results.append(tuple(done))
-            return
-        c = len(row)
-        if c == shape[r]:
-            done.append(tuple(row))
-            place(r + 1, [], top)
-            done.pop()
-            return
+            continue
+        # the next box: top is the largest entry so far, the box to its left's
+        # or at the start of a row the largest of the earlier rows
+        r, c, _ = boxes[k + 1]
+        top = largest(box)
         if family != "ssyt":
             low = top if c else top + 1
         else:
-            low = max(top if c else 1, largest(done[r - 1][c]) + 1 if r else 1)
-        for box in fills(low, cap[r]):
-            row.append(box)
-            place(r, row, largest(box))
-            row.pop()
-
-    place(0, [], 0)
+            low = max(top if c else 1, largest(filled[k + 1 - shape[r - 1]]) + 1 if r else 1)
+        stack.append(iter(fills(low, cap[r])))
     return tuple(results)
 
 
 def _enumerate_syt(shape: Shape, n: int) -> Iterator[Tableau]:
+    """Standard tableaux by placing 1, 2, ... in turn at the end of a row, the
+    rows tried top first; `path` holds the row of each placed value."""
     total = size(shape)
     if total > n:
         return
-    rows = [list([0] * a) for a in shape]
-
-    def place(value: int) -> Iterator[Tableau]:
-        if value > total:
+    rows: list[list[int]] = [[] for _ in shape]
+    path: list[int] = []
+    r = 0  # the first row to try for the next value
+    while True:
+        if len(path) == total:
             yield tuple(tuple(row) for row in rows)
+            r = len(shape)  # no row takes a further value: backtrack
+        while r < len(shape) and not (len(rows[r]) < shape[r]
+                                      and (r == 0 or len(rows[r - 1]) > len(rows[r]))):
+            r += 1
+        if r < len(shape):
+            rows[r].append(len(path) + 1)
+            path.append(r)
+            r = 0
+        elif path:
+            r = path.pop()
+            rows[r].pop()
+            r += 1
+        else:
             return
-        for r in range(len(shape)):
-            c = next((j for j in range(shape[r]) if rows[r][j] == 0), None)
-            if c is None:
-                continue
-            if r > 0 and (shape[r - 1] <= c or rows[r - 1][c] == 0):
-                continue
-            rows[r][c] = value
-            yield from place(value + 1)
-            rows[r][c] = 0
-
-    yield from place(1)
 
 
 def standardize(tableau: Tableau) -> Tableau:

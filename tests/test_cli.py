@@ -273,3 +273,20 @@ def test_selftest_refuses_under_optimize():
     assert child.returncode == 1
     assert "passed" not in out
     assert err.count("\n") == 1 and "-O" in err
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("poly", "fqs", "1000", "--vars", "1"), "x_1^1000"),
+    (("poly", "slide", "1000"), "x_1^1000"),
+    (("poly", "schur", "1000", "--vars", "1"), "x_1^1000"),
+    (("expand", "schur-fqs", "1000", "--vars", "1"), f"{[list(range(1, 1001))]}: x_1^1000"),
+    (("complex", "tableau", "--family", "syt", "--shape", "1000", "--vars", "1000"),
+     "SimplicialComplex(1000 vertices; facets {})"),
+    (("complex", "tableau", "--family", "wct", "--shape", "1000", "--vars", "1"),
+     "SimplicialComplex(1000 vertices; facets {})"),
+], ids=["fqs", "slide", "schur", "schur-fqs", "tableau-syt", "tableau-wct"])
+def test_thousand_box_shape_has_its_one_tableau(capsys, argv, out):
+    """The tableau fillers keep no stack frame per box or value."""
+    code, stdout, err = run(capsys, *argv)
+    assert code == 0 and not err
+    assert stdout.strip() == out

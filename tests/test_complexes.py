@@ -105,7 +105,7 @@ def test_memos_are_bounded():
     """The three process-global memos share one finite bound, and a repeated
     call is answered from the memo."""
     memos = {perms._reduced_words: parse_permutation("[4213]"),
-             complexes._vd_choice: frozenset({0b011, 0b110}),
+             complexes._vd_tree: frozenset({0b011, 0b110}),
              complexes._bs_check: frozenset({(1, 2, 1), (2, 1, 2)})}
     bounds = {memo.cache_info().maxsize for memo in memos}
     assert len(bounds) == 1 and None not in bounds
@@ -127,6 +127,69 @@ def test_vertex_decomposition_matches_deletion_link_walk():
         checked += 1
         decomposable += tree is not None
     assert decomposable > 0 and checked - decomposable > 20
+
+
+def test_vertex_decomposition_matches_walk_on_q6_sample():
+    """A seeded sample of S6, every length possible, on the triangular word."""
+    q = pipedreams.triangular_word(6)
+    for p in random.Random(6).sample(list(perms.symmetric_group(6)), 16):
+        complex_ = subword_complex(q, p)
+        assert vertex_decomposition(complex_) == vertex_decomposition_by_deletion_link(complex_), p
+
+
+def test_vertex_decomposition_survives_memo_clear():
+    """The witness is rebuilt equal from an empty search memo."""
+    cases = [subword_complex(pipedreams.triangular_word(5), p)
+             for p in random.Random(5).sample(list(perms.symmetric_group(5)), 10)]
+    cases.append(SimplicialComplex.from_facets([{1, 2}, {2, 4}, {1, 4}, {4, 5}]))
+    before = [vertex_decomposition(c) for c in cases]
+    complexes._vd_tree.cache_clear()
+    assert [vertex_decomposition(c) for c in cases] == before
+
+
+def test_vertex_decomposition_shares_equal_subtrees():
+    """In the cone over {2}, {3} the deletion and the link of 1 are equal."""
+    tree = vertex_decomposition(SimplicialComplex.from_facets([{1, 2}, {1, 3}]))
+    assert tree[0] == 1 and tree[1] == (2, (3, "leaf", "leaf"), "leaf")
+    assert tree[1] is tree[2]
+
+
+def test_tableau_builders_enumerate_once(monkeypatch):
+    calls = []
+    enumerate_tableaux = shapes.enumerate_tableaux
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_tableaux(*args)
+
+    monkeypatch.setattr(shapes, "enumerate_tableaux", counted)
+    for build in (lambda: tableau_complex("ssyt", (2, 1), 3),
+                  lambda: interior_faces("ssyt", (2, 1), 3),
+                  lambda: ssyt_standardization_decomposition((2, 1), 3)):
+        calls.clear()
+        build()
+        assert calls == [("ssyt", (2, 1), 3)]
+
+
+def test_tableau_builders_with_phantom_ambient():
+    """An ambient element in no tableau is a cone point of the complex; the
+    interior faces are those whose complement is a set-valued tableau."""
+    for family, shape, n in [("ssyt", (2, 1), 3), ("wct", (0, 2, 1), 3), ("ct", (1, 2), 3)]:
+        phantom = ((1, 1), n + 1)
+        ambient = tableau_ambient(family, shape, n) | {phantom}
+        complex_ = tableau_complex(family, shape, n, ambient)
+        assert complex_.vertices == tuple(sorted(ambient))
+        assert complex_.facets == {ambient - complexes._tableau_elements(t)
+                                   for t in shapes.enumerate_tableaux(family, shape, n)}
+        assert phantom in complex_.cone_vertices()
+        expected = set()
+        for face in faces_by_combinations(complex_):
+            svt = complexes.elements_to_set_valued(ambient - face, shape)
+            if svt is not None and shapes.classify_set_valued(svt, family, n) == "set-valued":
+                expected.add(face)
+        assert interior_faces(family, shape, n, ambient) == expected
+    with pytest.raises(ValueError):
+        tableau_complex("ssyt", (2, 1), 3, frozenset({((1, 1), 1)}))
 
 
 def test_classification_examples():
