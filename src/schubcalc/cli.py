@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 
-from . import complexes, perms, pipedreams, poly, selftest as selftest_mod, shapes, shuffles
+from . import complexes, perms, pipedreams, poly, shapes, shuffles
 from .perms import ParseError
 
 
@@ -39,6 +38,7 @@ def _require(args, name: str, flag: str | None = None):
 
 def _emit(args, payload_text: str, payload_json) -> None:
     if args.format == "json":
+        import json  # imported here: text output, the default, does not need it
         print(json.dumps(payload_json, sort_keys=True))
     else:
         print(payload_text)
@@ -345,6 +345,11 @@ def _cmd_shuffle(args) -> int:
     return _SHUFFLE_ACTIONS[args.action](args)
 
 
+def _cmd_selftest(args) -> int:
+    from . import selftest  # imported here: no other command runs the corpus
+    return selftest.run(verbose=True)
+
+
 # -- wiring --------------------------------------------------------------
 
 
@@ -416,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_shuffle)
 
     p = add_parser("selftest", help="run the built-in verification corpus")
-    p.set_defaults(func=lambda args: selftest_mod.run(verbose=True))
+    p.set_defaults(func=_cmd_selftest)
 
     return parser
 

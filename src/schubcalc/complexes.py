@@ -17,20 +17,30 @@ import functools
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 
 from . import perms, shapes
-from .perms import Permutation, Word
+from .perms import Permutation, Record, Word, _set
 
 Face = frozenset
 Vertex = Hashable
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    vertices: tuple
-    facets: frozenset[Face]
+class SimplicialComplex(Record):
+    __slots__ = ("vertices", "facets", "__dict__")
+    _fields = ("vertices", "facets")
+
+    def __init__(self, vertices: tuple, facets: frozenset[Face]) -> None:
+        _set(self, "vertices", vertices)
+        _set(self, "facets", facets)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.vertices == other.vertices and self.facets == other.facets
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.facets))
 
     @staticmethod
     def from_facets(facets: Iterable[Iterable[Vertex]],
@@ -299,11 +309,24 @@ def _vd_tree(facets: frozenset[int]):
 # ball / sphere classification
 
 
-@dataclass(frozen=True)
-class Classification:
-    kind: str  # "sphere" | "ball" | "neither"
-    boundary_ridges: frozenset[Face] = field(default_factory=frozenset)
-    reason: str = ""
+class Classification(Record):
+    __slots__ = ("kind", "boundary_ridges", "reason")
+    _fields = ("kind", "boundary_ridges", "reason")
+
+    def __init__(self, kind: str, boundary_ridges: frozenset[Face] = frozenset(),
+                 reason: str = "") -> None:
+        _set(self, "kind", kind)  # "sphere" | "ball" | "neither"
+        _set(self, "boundary_ridges", boundary_ridges)
+        _set(self, "reason", reason)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.kind == other.kind and self.boundary_ridges == other.boundary_ridges
+                    and self.reason == other.reason)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.boundary_ridges, self.reason))
 
 
 def classify_ball_or_sphere(complex_: SimplicialComplex) -> Classification:

@@ -21,32 +21,40 @@ dreams against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 
 from . import perms
-from .perms import Permutation, Word
+from .perms import Permutation, Record, Word, _set
 
 
-@dataclass(frozen=True)
-class PipeDream:
+class PipeDream(Record):
     """Crosses in the staircase of an n x n ambient grid."""
 
-    n: int
-    crosses: frozenset[tuple[int, int]]
+    __slots__ = ("n", "crosses", "__dict__")
+    _fields = ("n", "crosses")
 
-    def __post_init__(self) -> None:
-        for (r, c) in self.crosses:
-            if r < 1 or c < 1 or r + c > self.n:
-                raise ValueError(f"cross {(r, c)} outside the staircase of size {self.n}")
+    def __init__(self, n: int, crosses: frozenset[tuple[int, int]]) -> None:
+        for (r, c) in crosses:
+            if r < 1 or c < 1 or r + c > n:
+                raise ValueError(f"cross {(r, c)} outside the staircase of size {n}")
+        _set(self, "n", n)
+        _set(self, "crosses", crosses)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.crosses == other.crosses
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.crosses))
 
     @staticmethod
     def _trusted(n: int, crosses: frozenset[tuple[int, int]]) -> "PipeDream":
         """A dream whose crosses are known to lie in the staircase, unchecked."""
         dream = object.__new__(PipeDream)
-        object.__setattr__(dream, "n", n)
-        object.__setattr__(dream, "crosses", crosses)
+        _set(dream, "n", n)
+        _set(dream, "crosses", crosses)
         return dream
 
     @staticmethod

@@ -9,7 +9,7 @@ nothing here assumes indices start at 1.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from . import perms, pipedreams, shapes
 from .perms import Permutation, Word

@@ -5,7 +5,7 @@ callable raising AssertionError on failure.
 from __future__ import annotations
 
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 from . import complexes, perms, pipedreams, poly, shapes, shuffles
 from .perms import parse_permutation as pp, parse_word as pw

@@ -30,8 +30,9 @@ is determined by its content.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
+
+from .perms import Record, _set
 
 Shape = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
@@ -309,23 +310,32 @@ def descent_set(tableau: Tableau) -> frozenset[int]:
 # set-valued tableaux and kompositions
 
 
-@dataclass(frozen=True)
-class Komposition:
+class Komposition(Record):
     """A weak composition with some non-zero parts flagged bold.
 
     `bold` holds the 1-based positions of the bold parts; the excess is the
     number of flags.
     """
 
-    parts: tuple[int, ...]
-    bold: frozenset[int] = frozenset()
+    __slots__ = ("parts", "bold")
+    _fields = ("parts", "bold")
 
-    def __post_init__(self) -> None:
-        if any(a < 0 for a in self.parts):
+    def __init__(self, parts: tuple[int, ...], bold: frozenset[int] = frozenset()) -> None:
+        if any(a < 0 for a in parts):
             raise ValueError("parts must be non-negative")
-        for i in self.bold:
-            if not 1 <= i <= len(self.parts) or self.parts[i - 1] == 0:
+        for i in bold:
+            if not 1 <= i <= len(parts) or parts[i - 1] == 0:
                 raise ValueError(f"bold flag at {i} must sit on a non-zero part")
+        _set(self, "parts", parts)
+        _set(self, "bold", bold)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts and self.bold == other.bold
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts, self.bold))
 
     @property
     def excess(self) -> int:
@@ -431,11 +441,19 @@ def is_glide(kappa: Komposition, shape: Sequence[int]) -> bool:
     kappa = kappa.trimmed()
     nonzero = [i + 1 for i, a in enumerate(shape) if a]
     parts, bold = kappa.parts, kappa.bold
-
-    def blocks(j: int, start: int) -> bool:
-        # start is the 1-based index opening the current block.
+    if not nonzero:
+        return not parts
+    # A state (j, start) opens block j at the 1-based index start; the answer
+    # from a state depends on nothing else, so each is searched once, on an
+    # explicit stack that no number of blocks can overflow.
+    stack = [(0, 1)]
+    seen = set(stack)
+    while stack:
+        j, start = stack.pop()
         if j == len(nonzero):
-            return start == len(parts) + 1
+            if start == len(parts) + 1:
+                return True
+            continue
         target = shape[nonzero[j] - 1]
         first_nonzero_seen = False
         total = excess = 0
@@ -446,20 +464,16 @@ def is_glide(kappa: Komposition, shape: Sequence[int]) -> bool:
                 excess += 1
             if a and not first_nonzero_seen:
                 if end in bold:
-                    return False
+                    break
                 first_nonzero_seen = True
-            if total == target + excess and first_nonzero_seen:
-                if blocks(j + 1, end + 1):
-                    return True
+            if total == target + excess and first_nonzero_seen and (j + 1, end + 1) not in seen:
+                seen.add((j + 1, end + 1))
+                stack.append((j + 1, end + 1))
             if total - excess > target:
                 # each further part adds at least as much to the sum as to
                 # the excess, so the block can never balance again
                 break
-        return False
-
-    if not nonzero:
-        return not parts
-    return blocks(0, 1)
+    return False
 
 
 def tableau_to_json(tableau: Tableau) -> list[list[int]]:

@@ -33,11 +33,10 @@ cross has not yet been placed; such slots are always down-marked.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Container, Iterable, Sequence
+from collections.abc import Container, Iterable, Sequence
 
 from . import perms
-from .perms import INF, Permutation, Word
+from .perms import INF, Permutation, Record, Word, _set
 
 DOWN = "down"
 UP = "up"
@@ -48,21 +47,30 @@ class InvariantError(AssertionError):
     raise it explicitly, so `validate=True` keeps checking under python -O."""
 
 
-@dataclass(frozen=True)
-class MarkedWord:
+class MarkedWord(Record):
     """Letter slots (integers or INF) with per-slot marks."""
 
-    slots: tuple
-    marks: tuple
+    __slots__ = ("slots", "marks")
+    _fields = ("slots", "marks")
 
-    def __post_init__(self) -> None:
-        if len(self.slots) != len(self.marks):
+    def __init__(self, slots: tuple, marks: tuple) -> None:
+        if len(slots) != len(marks):
             raise ValueError("slots and marks must align")
-        for a, m in zip(self.slots, self.marks):
+        for a, m in zip(slots, marks):
             if m not in (None, DOWN, UP):
                 raise ValueError(f"bad mark {m!r}")
             if a == INF and m != DOWN:
                 raise ValueError("INF slots must carry the down mark")
+        _set(self, "slots", slots)
+        _set(self, "marks", marks)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.slots == other.slots and self.marks == other.marks
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.slots, self.marks))
 
     def infinity_positions(self) -> tuple[int, ...]:
         return tuple(p for p, a in enumerate(self.slots, start=1) if a == INF)

@@ -266,6 +266,25 @@ def test_closed_stdout_exits_1_without_traceback(argv):
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
+def test_startup_imports_only_what_the_command_uses():
+    """Importing the CLI loads no dataclasses, inspect, typing, json or the
+    selftest corpus; the commands that need json or the corpus still work."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = src
+    heavy = ("dataclasses", "inspect", "typing", "json", "schubcalc.selftest")
+    probe = f"import schubcalc.cli, sys; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    loaded = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert (loaded.returncode, loaded.stdout, loaded.stderr) == (0, "[]\n", "")
+    child = spawn_cli("selftest", stdout=subprocess.PIPE)
+    out, err = child.communicate(timeout=120)
+    assert child.returncode == 0 and "all" in out and "passed" in out and not err
+    child = spawn_cli("perm", "reduced-words", "[1432]", "--format", "json", stdout=subprocess.PIPE)
+    out, err = child.communicate(timeout=60)
+    assert child.returncode == 0 and json.loads(out) == [[2, 3, 2], [3, 2, 3]] and not err
+
+
 def test_selftest_refuses_under_optimize():
     """python -O strips the checks' asserts, so selftest must not report a pass."""
     child = spawn_cli("selftest", python_flags=("-O",), stdout=subprocess.PIPE)

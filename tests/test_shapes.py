@@ -223,6 +223,11 @@ def test_glide_examples():
     assert is_glide(Komposition((0, 2, 1)), (0, 2, 1))
 
 
+def test_glide_keeps_no_stack_frame_per_block():
+    assert is_glide(Komposition((1,) * 1200), (1,) * 1200)
+    assert not is_glide(Komposition((1,) * 1200, frozenset({1200})), (1,) * 1200)
+
+
 def test_glide_agrees_with_set_valued_kontents():
     shapes_to_try = [lam for total in range(0, 5) for parts in range(0, 5)
                      for lam in compositions_weak(total, parts)]
