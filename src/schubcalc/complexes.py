@@ -270,7 +270,9 @@ def vertex_decomposition(complex_: SimplicialComplex):
     """A witness tree: "leaf" for {}, else (vertex, deletion tree, link tree),
     with the first vertex in sorted order that works and the original labels;
     None when the complex is not vertex-decomposable.  It is the search's own
-    tree with the sorted vertices for its bits; equal subtrees are shared.
+    tree with the sorted vertices for its bits; equal subtrees are shared, so
+    its `repr`, which writes each share out again, can dwarf the tree: on
+    Delta(Q_9, [163728495]) it grew past 600 MB.
     """
     order, _, masks = complex_._view
     named: dict = {}  # by (id(subtree), labels): hashing nested tuples costs their size
@@ -358,7 +360,8 @@ def _classify(complex_: SimplicialComplex) -> tuple[str, str, list[int]]:
 def boundary_faces(complex_: SimplicialComplex) -> frozenset[Face]:
     """Downward closure of the once-covered codimension-1 faces of a ball:
     their submasks are collected in one set of ints, and each distinct mask
-    becomes a frozenset once."""
+    becomes a frozenset once.  That is every boundary face in memory: 577,995
+    of them, about 490 MB, for Delta(Q_7, [1432765])."""
     order = complex_._view[0]
     return frozenset(_face(order, m) for m in _closure(_classify(complex_)[2]))
 
@@ -413,31 +416,54 @@ def stanley_reisner_generators(complex_: SimplicialComplex) -> frozenset[Face]:
 # subword, slide and word-set complexes
 
 
-def word_embeddings(ambient: Word, target: Word) -> list[frozenset[int]]:
-    """All position sets (1-based) carrying the target as a subword."""
-    out: list[frozenset[int]] = []
+def _reduced_subwords(ambient: Word, p: Permutation) -> list[int]:
+    """The position masks (bit k for position k + 1) whose letters spell a
+    reduced word for p: one depth-first walk, left to right, carrying y^-1
+    for the part y of p still to spell; the letter a starts y iff y^-1(a) >
+    y^-1(a+1).  Every branch ends in a mask, as the walk keeps y <= D_k =
+    Dem(ambient[k:]) in Bruhat order (Knutson-Miller, "Subword complexes in
+    Coxeter groups", 2004).  By the lifting property only passing over a
+    letter a that starts y, where D_k = s_a D_{k+1} > D_{k+1}, needs a test:
+    y <= D_{k+1}, on the inverses, memoised per (k, y).  One right-to-left
+    pass builds every D_k^-1, the Demazure product of the reversed suffix."""
+    lo = min((*ambient, p.lo))
+    hi = max((*(a + 1 for a in ambient), p.lo + len(p.window) - 1))
+    images = list(range(lo, hi + 1))
+    reach = [tuple(images)]
+    for a in reversed(ambient):
+        a -= lo
+        if images[a] < images[a + 1]:
+            images[a], images[a + 1] = images[a + 1], images[a]
+        reach.append(tuple(images))
+    reach.reverse()
+    below = functools.cache(lambda k, y: perms._bruhat_leq_images(y, reach[k], lo))
+    out: list[int] = []
 
-    def scan(start: int, k: int, chosen: list[int]) -> None:
-        if k == len(target):
-            out.append(frozenset(chosen))
+    def walk(k: int, y: tuple[int, ...], left: int, mask: int) -> None:
+        if not left:
+            out.append(mask)
             return
-        for p in range(start, len(ambient) - (len(target) - k) + 2):
-            if ambient[p - 1] == target[k]:
-                chosen.append(p)
-                scan(p + 1, k + 1, chosen)
-                chosen.pop()
+        for j in range(k, len(ambient)):
+            a = ambient[j] - lo
+            if y[a] > y[a + 1]:
+                walk(j + 1, y[:a] + (y[a + 1], y[a]) + y[a + 2:], left - 1, mask | 1 << j)
+                if reach[j] != reach[j + 1] and not below(j + 1, y):
+                    return
 
-    scan(1, 0, [])
+    start = p.inverse().one_line(lo, hi)
+    if below(0, start):
+        walk(0, start, p.length, 0)
     return out
 
 
 def subword_complex(ambient: Word, p: Permutation) -> SimplicialComplex:
-    """Faces are the position sets whose complements still contain p.
-
-    The facets are the complements of the embeddings of the reduced words of
-    p; the result is void when the ambient word does not contain p.
-    """
-    return _complement_complex(ambient, perms.reduced_words(p))
+    """Faces are the position sets whose complements still contain p: the
+    facets are the complements of the reduced subwords for p, and there are
+    none when the ambient word does not contain p."""
+    positions = tuple(range(1, len(ambient) + 1))
+    full = (1 << len(ambient)) - 1
+    return SimplicialComplex(positions, frozenset(
+        _face(positions, full ^ m) for m in _reduced_subwords(ambient, p)))
 
 
 def slide_complex(ambient: Word, target: Word) -> SimplicialComplex:
@@ -450,20 +476,14 @@ def slide_complex(ambient: Word, target: Word) -> SimplicialComplex:
 
 
 def word_set_complex(ambient: Word, words: Sequence[Word]) -> SimplicialComplex:
-    """Faces are position sets whose complements contain some word of the
-    given set.  All words must be reduced words of one permutation, so the
-    complex is pure.
-    """
-    _common_permutation(words)
-    return _complement_complex(ambient, words)
-
-
-def _complement_complex(ambient: Word, words: Iterable[Word]) -> SimplicialComplex:
-    """Facets: the complements of the embeddings of the words; void if none."""
-    positions = tuple(range(1, len(ambient) + 1))
-    everything = frozenset(positions)
-    return SimplicialComplex(positions, frozenset(
-        everything - emb for word in words for emb in word_embeddings(ambient, tuple(word))))
+    """The facets of the subword complex whose complements spell a word of
+    the given set.  All words must be reduced words of one permutation, so
+    the complex is pure."""
+    target = _common_permutation(words)
+    keep = set(map(tuple, words))
+    whole = subword_complex(ambient, Permutation.identity() if target is None else target)
+    return SimplicialComplex(whole.vertices, frozenset(f for f in whole.facets if tuple(
+        a for k, a in enumerate(ambient, start=1) if k not in f) in keep))
 
 
 def _common_permutation(words: Sequence[Word]) -> Permutation | None:

@@ -340,7 +340,7 @@ def prod_word(word: Sequence[int]) -> Permutation:
     for a in word:
         a -= lo
         images[a], images[a + 1] = images[a + 1], images[a]
-    return Permutation(lo, tuple(images))
+    return Permutation._trusted(lo, tuple(images))
 
 
 def is_reduced(word: Sequence[int]) -> bool:
@@ -380,7 +380,7 @@ def demazure(word: Sequence[int]) -> Permutation:
         a -= lo
         if images[a] < images[a + 1]:
             images[a], images[a + 1] = images[a + 1], images[a]
-    return Permutation(lo, tuple(images))
+    return Permutation._trusted(lo, tuple(images))
 
 
 # The one memo of the library's recursions (reduced words here, the vertex-
@@ -456,7 +456,7 @@ def tau(p: Permutation, power: int = 1) -> Permutation:
     """
     if p.is_identity() or power == 0:
         return p
-    return Permutation(p.lo + power, tuple(v + power for v in p.window))
+    return Permutation._trusted(p.lo + power, tuple(v + power for v in p.window))
 
 
 def bruhat_cover(p: Permutation, a: int, b: int) -> bool:

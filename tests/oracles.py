@@ -28,6 +28,10 @@ code they check:
   (Knutson-Miller, "Groebner geometry of Schubert polynomials", 2005,
   Theorem B), against the minimal-transversal search in
   `complexes.stanley_reisner_generators`;
+- `word_embeddings` scans the ambient word once per target word, and
+  `complement_facets_by_words` takes the complements of the embeddings of
+  a list of words, against the reduced-subword walk behind
+  `complexes.subword_complex`, `word_set_complex` and `slide_complex`;
 - `words_on_letters` lists every word of a given length;
 - `wiring_label_by_walk` and `cross_labels_by_walk` follow one height at a
   time through the swaps, `prod_word_by_simples` multiplies one
@@ -257,6 +261,31 @@ def antidiagonal_generators(p, n):
         for j in range(n - i, 0, -1):
             position[(i, j)] = len(position) + 1
     return frozenset(frozenset(position[cell] for cell in a) for a in minimal)
+
+
+def word_embeddings(ambient, target):
+    """All position sets (1-based) carrying the target as a subword."""
+    out = []
+
+    def scan(start, k, chosen):
+        if k == len(target):
+            out.append(frozenset(chosen))
+            return
+        for p in range(start, len(ambient) - (len(target) - k) + 2):
+            if ambient[p - 1] == target[k]:
+                chosen.append(p)
+                scan(p + 1, k + 1, chosen)
+                chosen.pop()
+
+    scan(1, 0, [])
+    return out
+
+
+def complement_facets_by_words(ambient, words):
+    """The complements of the embeddings of the words in the ambient word."""
+    everything = frozenset(range(1, len(ambient) + 1))
+    return frozenset(everything - emb for word in words
+                     for emb in word_embeddings(ambient, tuple(word)))
 
 
 def words_on_letters(length, letters):

@@ -5,6 +5,7 @@ numeric tolerances anywhere.
 """
 import itertools
 import math
+import random
 from functools import lru_cache
 
 from schubcalc import complexes, perms, pipedreams, poly, selftest, shapes, shuffles
@@ -17,7 +18,7 @@ from schubcalc.perms import (
 )
 from schubcalc.poly import Polynomial
 
-from oracles import compositions_weak, demazure_step, schubert_from_words
+from oracles import compositions_weak, demazure_step, schubert_from_words, word_embeddings
 
 
 def test_criterion_1_golden_corpus(capsys):
@@ -192,7 +193,7 @@ def test_criterion_5_subword_complex_sweep(capsys):
                 # facets split across the slide complexes of the words
                 split = []
                 for w in reduced_words(p):
-                    for emb in complexes.word_embeddings(q_word, w):
+                    for emb in word_embeddings(q_word, w):
                         split.append(frozenset(range(1, length + 1)) - emb)
                 assert len(split) == len(facets) and frozenset(split) == facets
     assert checked > 10000
@@ -336,3 +337,35 @@ def test_criterion_7_stanley_reisner_shadow(capsys):
         frozenset({(1, 2), (2, 1), (2, 2)})}
     with capsys.disabled():
         print("ACCEPTANCE 7 (face-ideal shadow of the degenerate complex): PASS")
+
+
+def test_criterion_8a_slide_sub_balls_of_the_staircase(capsys):
+    """The slide expansion of S_p is a sum over sub-balls of Delta(Q_n, p):
+    for every p in S1-S6, the facets grouped by the word their complement
+    spells are slide complexes, each a ball, or the sphere when p = w0, and
+    the slide polynomials of those words sum to S_p."""
+    rng = random.Random(8)
+    groups_by_n = []
+    for n in range(1, 7):
+        q = pipedreams.triangular_word(n)
+        w0 = Permutation.from_one_line(range(n, 0, -1))
+        groups = 0
+        for p in symmetric_group(n):
+            complex_ = complexes.subword_complex(q, p)
+            by_word: dict[tuple, list] = {}
+            for facet in complex_.facets:
+                word = tuple(a for k, a in enumerate(q, start=1) if k not in facet)
+                by_word.setdefault(word, []).append(facet)
+            for word, facets in by_word.items():
+                group = complexes.SimplicialComplex(complex_.vertices, frozenset(facets))
+                if rng.random() < 0.05:
+                    assert group == complexes.slide_complex(q, word), (str(p), word)
+                kind = complexes.classify_ball_or_sphere(group).kind
+                assert kind == ("sphere" if p == w0 else "ball"), (str(p), word)
+            assert Polynomial.sum(poly.slide_of_word(w) for w in by_word) == poly.schubert(p)
+            groups += len(by_word)
+        groups_by_n.append(groups)
+    assert groups_by_n[-1] == 2679
+    with capsys.disabled():
+        print(f"ACCEPTANCE 8a (slide sub-balls of Delta(Q_n, p), n = 1..6: "
+              f"{', '.join(map(str, groups_by_n))} groups): PASS")

@@ -18,7 +18,6 @@ from schubcalc.complexes import (
     tableau_ambient,
     tableau_complex,
     vertex_decomposition,
-    word_embeddings,
     word_set_complex,
 )
 from schubcalc.perms import parse_permutation, parse_word
@@ -26,6 +25,7 @@ from schubcalc.perms import parse_permutation, parse_word
 from oracles import (
     antidiagonal_generators,
     boundary_faces_by_combinations,
+    complement_facets_by_words,
     deletion_by_sets,
     faces_by_combinations,
     has_face_by_sets,
@@ -34,6 +34,7 @@ from oracles import (
     ridge_facet_counts_by_sets,
     stanley_reisner_by_subset_scan,
     vertex_decomposition_by_deletion_link,
+    word_embeddings,
 )
 
 
@@ -495,6 +496,67 @@ def test_word_embeddings():
                                                        parse_word("323"))}
     assert found == {(1, 2, 4), (1, 2, 6), (1, 5, 6), (4, 5, 6)}
     assert word_embeddings(parse_word("11"), parse_word("121")) == []
+
+
+def test_subword_walk_matches_word_route_on_staircases():
+    """Delta(Q_n, p) for every p in S1-S6: the walk's facets are the
+    complements of the embeddings of every reduced word of p."""
+    for n in range(1, 7):
+        q = pipedreams.triangular_word(n)
+        for p in perms.symmetric_group(n):
+            built = subword_complex(q, p)
+            assert built.vertices == tuple(range(1, len(q) + 1))
+            assert built.facets == complement_facets_by_words(q, perms.reduced_words(p)), p
+
+
+def test_subword_walk_matches_word_route_on_random_words():
+    """2,000 seeded words over the letters -1..5, of length 0-12, each with a
+    permutation it mostly contains, and word-set complexes on random subsets
+    of its reduced words, the empty subset included."""
+    rng = random.Random(16)
+    empty = 0
+    for _ in range(2000):
+        q = tuple(rng.randint(-1, 5) for _ in range(rng.randint(0, 12)))
+        if rng.random() < 0.8:
+            p = perms.demazure([a for a in q if rng.random() < 0.5])
+        else:
+            p = perms.prod_word([rng.randint(-1, 6) for _ in range(rng.randint(0, 4))])
+        words = perms.reduced_words(p)
+        assert subword_complex(q, p).facets == complement_facets_by_words(q, words), (q, p)
+        subset = rng.sample(words, rng.randint(0, min(len(words), 4)))
+        empty += not subset
+        built = word_set_complex(q, subset)
+        assert built.vertices == tuple(range(1, len(q) + 1))
+        assert built.facets == complement_facets_by_words(q, subset), (q, subset)
+    assert empty > 100
+
+
+def test_subword_walk_degenerate_cases():
+    identity = perms.Permutation.identity()
+    s1 = perms.Permutation.simple(1)
+    cases = {((), identity): facets(()),
+             ((), s1): frozenset(),
+             ((1, 2, 1), identity): facets({1, 2, 3}),
+             ((1, 1), parse_permutation("[321]")): frozenset(),
+             ((1, 2, 1), perms.Permutation.simple(3)): frozenset(),
+             ((1, 2, 1), perms.Permutation.simple(0)): frozenset(),
+             ((-1, 0, -1), parse_permutation("[1,0,-1]@-1")): facets(())}
+    for (q, p), expected in cases.items():
+        built = subword_complex(q, p)
+        assert built.vertices == tuple(range(1, len(q) + 1))
+        assert built.facets == expected == complement_facets_by_words(q, perms.reduced_words(p))
+    assert word_set_complex((1, 2, 1), []) == SimplicialComplex.void((1, 2, 3))
+    assert word_set_complex((), [()]).facets == facets(())
+
+
+def test_subword_complex_lists_no_reduced_words():
+    """Delta(Q_6, w0) is built without a call to the reduced-word memo."""
+    w0 = perms.Permutation.from_one_line(range(6, 0, -1))
+    before = perms._reduced_words.cache_info()
+    built = subword_complex(pipedreams.triangular_word(6), w0)
+    after = perms._reduced_words.cache_info()
+    assert built.facets == facets(())
+    assert after.hits + after.misses == before.hits + before.misses
 
 
 def test_from_json_keeps_maximal_facets():
