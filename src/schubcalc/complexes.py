@@ -6,7 +6,9 @@ A complex stores an explicit vertex set (phantom vertices allowed: elements
 of the ground set lying in no face) and its facets.  The face routines read
 one cached mask view: the used vertices in sorted order, each facet as an
 int whose bit k is the k-th of them.  Faces are submasks, made frozensets
-only when returned.
+only when returned, all by the one table decoder `_faces`.  A complex also
+caches its classification, which `classify_ball_or_sphere` and
+`boundary_faces` share.
 
 The void complex (no facets at all) is distinct from the complex {} whose
 only face is the empty set; `SimplicialComplex.is_void` tells them apart.
@@ -17,7 +19,7 @@ import functools
 import itertools
 import operator
 from collections import Counter
-from collections.abc import Hashable, Iterable, Iterator, Sequence
+from collections.abc import Collection, Hashable, Iterable, Iterator, Sequence
 
 from . import perms, shapes
 from .perms import Permutation, Record, Word, _set
@@ -48,10 +50,13 @@ class SimplicialComplex(Record):
         packed = frozenset(frozenset(f) for f in facets)
         packed = frozenset(f for f in packed
                            if not any(f < g for g in packed))
+        used = set().union(*packed)
         if vertices is None:
-            seen = sorted(set().union(*packed)) if packed else []
-            return SimplicialComplex(tuple(seen), packed)
-        return SimplicialComplex(tuple(vertices), packed)
+            return SimplicialComplex(tuple(sorted(used)), packed)
+        vertices = tuple(vertices)
+        if not used <= set(vertices):
+            raise ValueError("a facet has a vertex outside the vertex set")
+        return SimplicialComplex(vertices, packed)
 
     @staticmethod
     def void(vertices: Iterable[Vertex] = ()) -> "SimplicialComplex":
@@ -63,6 +68,21 @@ class SimplicialComplex(Record):
         order = tuple(sorted(set().union(*self.facets)))
         bit = {v: 1 << k for k, v in enumerate(order)}
         return order, bit, frozenset(sum(bit[v] for v in f) for f in self.facets)
+
+    @functools.cached_property
+    def _classified(self) -> tuple[str, str, tuple[int, ...]]:
+        """The kind, the reason for "neither", the once-covered ridge masks."""
+        if self.is_void:
+            return "neither", "void complex", ()
+        if not self.is_pure():
+            return "neither", "not pure", ()
+        if not is_vertex_decomposable(self):
+            return "neither", "not vertex-decomposable", ()
+        counts = _ridge_counts(self._view[2])
+        if any(c > 2 for c in counts.values()):
+            return "neither", "a codimension-1 face lies in more than two facets", ()
+        once = tuple(r for r, c in counts.items() if c == 1)
+        return ("ball" if once else "sphere"), "", once
 
     def _mask(self, face: Face) -> int | None:
         """The mask of a face; None when it is not a face."""
@@ -94,8 +114,7 @@ class SimplicialComplex(Record):
 
     def faces(self) -> Iterator[Face]:
         """All faces, deduplicated, in no particular order."""
-        order = self._view[0]
-        return (_face(order, m) for m in _closure(self._view[2]))
+        return _faces(self._view[0], _closure(self._view[2]))
 
     def reduced_euler_characteristic(self) -> int:
         """Alternating sum over all faces, the empty face included, by
@@ -150,7 +169,8 @@ class SimplicialComplex(Record):
     def ridge_facet_counts(self) -> dict[Face, int]:
         """How many facets contain each codimension-1 face."""
         order, _, masks = self._view
-        return {_face(order, r): c for r, c in _ridge_counts(masks).items()}
+        counts = _ridge_counts(masks)
+        return dict(zip(_faces(order, counts), counts.values()))
 
     def to_json(self) -> dict:
         verts = list(self.vertices)
@@ -206,12 +226,19 @@ def _closure(masks: Iterable[int]) -> set[int]:
     return out
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
-def _face(order: tuple, mask: int) -> Face:
-    """The vertices of a mask: its binary digits, lowest first, select them."""
-    return frozenset(itertools.compress(order, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
+def _faces(order: tuple, masks: Collection[int]) -> Iterator[Face]:
+    """The face of each mask, bit k selecting order[k].  The low w bits index
+    a table of vertex tuples built by doubling, w = min(8, bit length of the
+    mask count), so the table has at most 256 entries and at most twice as
+    many as the masks; the bits above are decoded once per distinct value."""
+    w = min(8, len(masks).bit_length())
+    low = [()]
+    for v in order[:w]:
+        low += [t + (v,) for t in low]
+    cut = len(low) - 1
+    high = {h: tuple(order[b.bit_length() + w - 1] for b in _bits(h))
+            for h in {m >> w for m in masks}}
+    return (frozenset(low[m & cut] + high[m >> w]) for m in masks)
 
 
 def _maximal_faces(order: tuple, masks: set[int]) -> frozenset[Face]:
@@ -222,8 +249,9 @@ def _maximal_faces(order: tuple, masks: set[int]) -> frozenset[Face]:
     near = {g for g in masks if g.bit_count() == top - 1}
     if near:
         near -= {f ^ b for f in masks if f.bit_count() == top for b in _bits(f)}
-    return frozenset(_face(order, g) for g in masks if g.bit_count() == top or g in near
-                     or g.bit_count() < top - 1 and not any(g & h == g and g != h for h in masks))
+    return frozenset(_faces(order, [
+        g for g in masks if g.bit_count() == top or g in near
+        or g.bit_count() < top - 1 and not any(g & h == g and g != h for h in masks)]))
 
 
 def _ridge_counts(facets: Iterable[int]) -> Counter[int]:
@@ -338,32 +366,16 @@ def classify_ball_or_sphere(complex_: SimplicialComplex) -> Classification:
     once-covered ridges.  Anything else is reported as "neither" (the
     criterion is sufficient, not necessary).
     """
-    kind, reason, once = _classify(complex_)
-    return Classification(kind, frozenset(_face(complex_._view[0], r) for r in once), reason)
-
-
-def _classify(complex_: SimplicialComplex) -> tuple[str, str, list[int]]:
-    """The kind, the reason for "neither", the once-covered ridge masks."""
-    if complex_.is_void:
-        return "neither", "void complex", []
-    if not complex_.is_pure():
-        return "neither", "not pure", []
-    if not is_vertex_decomposable(complex_):
-        return "neither", "not vertex-decomposable", []
-    counts = _ridge_counts(complex_._view[2])
-    if any(c > 2 for c in counts.values()):
-        return "neither", "a codimension-1 face lies in more than two facets", []
-    once = [r for r, c in counts.items() if c == 1]
-    return ("ball" if once else "sphere"), "", once
+    kind, reason, once = complex_._classified
+    return Classification(kind, frozenset(_faces(complex_._view[0], once)), reason)
 
 
 def boundary_faces(complex_: SimplicialComplex) -> frozenset[Face]:
     """Downward closure of the once-covered codimension-1 faces of a ball:
-    their submasks are collected in one set of ints, and each distinct mask
-    becomes a frozenset once.  That is every boundary face in memory: 577,995
-    of them, about 490 MB, for Delta(Q_7, [1432765])."""
-    order = complex_._view[0]
-    return frozenset(_face(order, m) for m in _closure(_classify(complex_)[2]))
+    their submasks are collected in one set of ints, and `_faces` makes each
+    distinct mask a frozenset once.  That is every boundary face in memory:
+    577,995 of them, about 490 MB and 6.5-7.6 s, for Delta(Q_7, [1432765])."""
+    return frozenset(_faces(complex_._view[0], _closure(complex_._classified[2])))
 
 
 def stanley_reisner_generators(complex_: SimplicialComplex) -> frozenset[Face]:
@@ -409,7 +421,7 @@ def stanley_reisner_generators(complex_: SimplicialComplex) -> frozenset[Face]:
 
     search(0, [], full, complements, (1 << len(complements)) - 1)
     phantoms = {frozenset([v]) for v in complex_.vertices if v not in bit}
-    return frozenset(_face(order, m) for m in found) | phantoms
+    return frozenset(_faces(order, found)) | phantoms
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +475,7 @@ def subword_complex(ambient: Word, p: Permutation) -> SimplicialComplex:
     positions = tuple(range(1, len(ambient) + 1))
     full = (1 << len(ambient)) - 1
     return SimplicialComplex(positions, frozenset(
-        _face(positions, full ^ m) for m in _reduced_subwords(ambient, p)))
+        _faces(positions, [full ^ m for m in _reduced_subwords(ambient, p)])))
 
 
 def slide_complex(ambient: Word, target: Word) -> SimplicialComplex:

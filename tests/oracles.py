@@ -16,6 +16,8 @@ code they check:
   of a given size;
 - `vertex_decomposition_by_deletion_link` walks deletions and links with no
   memo, against the memoised search in `complexes`;
+- `face_by_binary_digits` reads a mask's binary digits, one per vertex,
+  against the table decoder `complexes._faces`;
 - `faces_by_combinations`, `has_face_by_sets`, `deletion_by_sets`,
   `link_by_sets`, `ridge_facet_counts_by_sets`, `classify_by_sets` and
   `boundary_faces_by_combinations` build every face as a frozenset, and
@@ -310,6 +312,14 @@ def vertex_decomposition_by_deletion_link(complex_):
             continue
         return (v, del_tree, link_tree)
     return None
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def face_by_binary_digits(order, mask):
+    """The vertices of a mask: its binary digits, lowest first, select them."""
+    return frozenset(itertools.compress(order, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
 
 
 def faces_by_combinations(complex_):

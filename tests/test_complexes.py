@@ -27,6 +27,7 @@ from oracles import (
     boundary_faces_by_combinations,
     complement_facets_by_words,
     deletion_by_sets,
+    face_by_binary_digits,
     faces_by_combinations,
     has_face_by_sets,
     link_by_sets,
@@ -567,6 +568,79 @@ def test_from_json_keeps_maximal_facets():
     assert wide == tight and wide.facets == frozenset({frozenset({1, 2})})
     assert complexes.from_json(wide.to_json()) == wide
     assert wide.to_json() == {"vertices": [1, 2], "facets": [[1, 2]]}
+
+
+def test_facets_must_lie_in_the_vertex_set():
+    """A facet vertex missing from the given vertices is refused, by
+    from_facets and by from_json; phantom vertices are still allowed."""
+    with pytest.raises(ValueError):
+        SimplicialComplex.from_facets([{1, 2}, {2, 3}], vertices=[1, 2])
+    with pytest.raises(ValueError):
+        complexes.from_json({"vertices": [1, 2], "facets": [[1, 2], [2, 3]]})
+    with pytest.raises(ValueError):
+        SimplicialComplex.from_facets([{("a", 1)}], vertices=[])
+    phantom = SimplicialComplex.from_facets([{1, 2}], vertices=[1, 2, 3])
+    assert phantom.used_vertices() == (1, 2)
+    assert stanley_reisner_generators(phantom) == facets({3})
+
+
+def test_table_decoder_matches_binary_digits():
+    """`_faces` equals the digit-by-digit decode on seeded random masks, in
+    the order of the masks: orders of 0 to 25 vertices, on both sides of the
+    8-bit table and of the 16-bit mark, and tuple (tableau) vertices, with 1,
+    2, 5 and 300 masks, so every table width and the high-bit decode run."""
+    rng = random.Random(17)
+    orders = [tuple(range(10, 10 + n)) for n in (0, 1, 7, 8, 9, 15, 16, 17, 25)]
+    orders.append(tuple(sorted(tableau_ambient("ssyt", (3, 2), 4))))
+    for order in orders:
+        for count in (1, 2, 5, 300):
+            masks = [rng.getrandbits(len(order)) for _ in range(count)]
+            masks[0] = (1 << len(order)) - 1
+            decoded = complexes._faces(order, masks)
+            assert not isinstance(decoded, (list, tuple, set, frozenset))
+            assert list(decoded) == [face_by_binary_digits(order, m) for m in masks], (order, count)
+            keyed = dict.fromkeys(masks)
+            assert dict(zip(complexes._faces(order, keyed), keyed)) == {
+                face_by_binary_digits(order, m): m for m in keyed}
+
+
+def test_cached_classification_is_order_free():
+    """classify_ball_or_sphere, boundary_faces and is_vertex_decomposable
+    share one cached classification: called in each of the six orders on a
+    fresh copy, they give the answers of the first order, on the subword
+    complexes of criterion 5 for words of length at most 5, on the deletions
+    and links of a vertex, and on four complexes that are neither.
+    Equality, hash and to_json ignore the cached entry."""
+    calls = (classify_ball_or_sphere, boundary_faces, is_vertex_decomposable)
+    cases = set()
+    for length in range(6):
+        for q in itertools.product((1, 2, 3), repeat=length):
+            for p in {perms.demazure(sub) for r in range(length + 1)
+                      for sub in itertools.combinations(q, r)}:
+                c = subword_complex(q, p)
+                cases.add(c)
+                if c.used_vertices():
+                    v = c.used_vertices()[0]
+                    cases |= {c.deletion([v]), c.link([v])}
+    # void, not pure, not vertex-decomposable, a ridge in three facets
+    cases |= {SimplicialComplex.void((1, 2)), SimplicialComplex.from_facets([{1, 2}, {3}]),
+              SimplicialComplex.from_facets([{1, 2}, {3, 4}]),
+              SimplicialComplex.from_facets([{1, 2}, {1, 3}, {1, 4}])}
+    kinds = set()
+    for c in cases:
+        expected = None
+        for order in itertools.permutations(range(3)):
+            fresh = SimplicialComplex(c.vertices, c.facets)
+            got = [None] * 3
+            for k in order:
+                got[k] = calls[k](fresh)
+            assert "_classified" in vars(fresh) and "_classified" not in vars(c)
+            assert fresh == c and hash(fresh) == hash(c) and fresh.to_json() == c.to_json()
+            if expected is None:
+                expected = got
+            assert got == expected, (c, order)
+        kinds.add(expected[0].kind)
+    assert kinds == {"ball", "sphere", "neither"}
 
 
 def test_json_and_renderers():
