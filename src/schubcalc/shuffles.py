@@ -18,22 +18,23 @@ through their lower label, the row variant mirrors this with "small" labels
 (initially everything at most i) consumed through their upper label.  That
 bookkeeping is exactly what enforces the distinctness constraints in the
 two product rules.  It is kept as the base side XOR a finite set of flipped
-labels, and the engine keeps the down- and up-marked positions as sets.
+labels; a run keeps that set and the marks as local state.
 
-Every insertion or extraction step does one right-to-left wiring sweep,
-split at the pending column j (perms.sweep_span): positions len..j+1 give
-the labels of column j and the crosses right of j, which do not depend on
-the letter at j; the new letter is chosen from those labels, and the same
-label list goes on through positions j..1 to give the crosses left of j.
-When a step must also see the crosses left of j under the old letter (a
-bumped or un-bumped cross), that part runs on a copy of the column labels.
+Each run makes one label window and one sweep from the right to its first
+pending column j; a step picks the new letter at j from the labels of
+column j.  An insertion step sweeps on leftwards for the cross it bumps,
+keeping the labels of the next pending column (Monk's stops at the bump).
+An extraction step reads the old cross off the column, un-bumps by sweeping
+a copy down to the lowest pending cross, follows the raised cross's wires
+rightwards to its defect mate, and carries the column labels rightwards to
+the next up mark.
 
 The slot value INF compares above every integer and marks a column whose
 cross has not yet been placed; such slots are always down-marked.
 """
 from __future__ import annotations
 
-from collections.abc import Container, Iterable, Sequence
+from collections.abc import Container, Sequence
 
 from . import perms
 from .perms import INF, Permutation, Record, Word, _set
@@ -111,41 +112,66 @@ def insert_slots(word: Sequence[int], positions: Sequence[int]) -> MarkedWord:
 
 
 # ---------------------------------------------------------------------------
-# wiring labels on slotted words
+# label windows and searches
 
 
-def _column_sweep(letters: Sequence, j: int, pivot: int,
-                  skip: Container[int] = frozenset()) -> tuple[list, int, int, list]:
-    """Sweep positions len..j+1.  Returns (labels, lo, hi, crosses): the
-    labels of column j at heights lo..hi+1 (labels[h - lo]), a window
-    reaching len + 2 beyond the letters and the pivot on both sides, and the
-    cross list with the pairs right of j filled in.  perms.sweep_span can
-    carry the same label list on through positions j..1.
-    """
-    finite = [a for a in letters if a != INF]
-    finite.append(pivot)
-    slack = len(letters) + 2
-    lo, hi = min(finite) - slack, max(finite) + slack
-    labels = list(range(lo, hi + 2))
-    crosses: list = [None] * len(letters)
-    perms.sweep_span(letters, labels, lo, crosses, len(letters), j, skip)
-    return labels, lo, hi, crosses
+def _window(word: Word, size: int, i: int) -> tuple[int, int, list[int]]:
+    """(lo, top, labels): the identity labels of heights lo..hi + 1, the
+    window reaching size + 2 beyond the letters of the word and the pivot i
+    on both sides, size being the number of slots.  A run moves each letter
+    one way only, and ends within k of the input letters and i, so one
+    window serves every step of the run.
+
+    Above top, one more than the highest letter and i, the labels are the
+    identity and unflipped, so no search stops there: a falling cross starts
+    at top, and a rising one gives up past it.  A run keeps top above every
+    letter it places, and so above every label it books; as top grows by at
+    most one a step, and a run takes at most size steps, it stays below hi."""
+    finite = (*word, i)
+    top = max(finite) + 1
+    lo = min(finite) - size - 2
+    return lo, top, list(range(lo, top + size + 3))
 
 
-def _second_crossing(crosses: list, j: int, candidates: Iterable[int]) -> int | None:
-    """Position among the candidates where the two wires crossing at j cross
-    again; None when they cross only once.  The second crossing shows the
-    same label pair in the opposite order.  `crosses` is a cross-pair list
-    as perms.wiring_sweep gives it.
-    """
-    a, b = crosses[j - 1]
-    found = None
-    for p in candidates:
-        if p != j and crosses[p - 1] == (b, a):
-            if found is not None:
-                raise InvariantError(f"wires {a},{b} cross more than twice")
-            found = p
-    return found
+def _fall(labels: list[int], lo: int, top: int, i: int, flipped: Container[int]) -> int:
+    """The highest height h <= top whose labels read (low, high): a label x
+    is high when (x > i) != (x in flipped).  The Monk swap (flipped empty)
+    takes a wire labelled <= i over one labelled > i; the Pieri swap of
+    either variant reads the same once the book is folded into flipped."""
+    x = labels[top + 1 - lo]
+    high = (x > i) != (x in flipped)
+    for t in range(top - lo, -1, -1):
+        x = labels[t]
+        below = (x > i) != (x in flipped)
+        if high and not below:
+            if not t:
+                raise InvariantError(f"letter {lo} reached the edge of the label window")
+            return t + lo
+        high = below
+    raise InvariantError("no available swap below the pending cross")
+
+
+def _rise(labels: list[int], lo: int, bottom: int, top: int, i: int,
+          flipped: Container[int]) -> int | None:
+    """The lowest height h in bottom..top whose labels read (high, low), as
+    in _fall; None when there is none (the cross rises to INF)."""
+    x = labels[bottom - lo]
+    high = (x > i) != (x in flipped)
+    for t in range(bottom + 1 - lo, top + 2 - lo):
+        x = labels[t]
+        above = (x > i) != (x in flipped)
+        if high and not above:
+            return t - 1 + lo
+        high = above
+    return None
+
+
+def _carry_right(letters: Sequence, labels: list[int], lo: int, start: int, stop: int) -> None:
+    """Turn the labels of column `start` into those of column `stop` >= start,
+    every cross in between swapping."""
+    for p in range(start + 1, stop + 1):
+        a = letters[p - 1] - lo
+        labels[a], labels[a + 1] = labels[a + 1], labels[a]
 
 
 # ---------------------------------------------------------------------------
@@ -167,20 +193,15 @@ def monk_shuffle(i: int, word: Sequence[int], position: int,
     if not 1 <= position <= len(word) + 1:
         raise ValueError("insertion position out of range")
     letters: list = list(word[:position - 1]) + [INF] + list(word[position - 1:])
-    pending: int | None = position
-    while pending is not None:
-        j = pending
-        labels, lo, hi, crosses = _column_sweep(letters, j, i)
+    lo, top, labels = _window(word, len(letters), i)
+    perms.sweep_span(letters, labels, lo, [None] * len(letters), len(letters), position)
+    j = position
+    while j:
         cur = letters[j - 1]
-        k = None
-        top = hi if cur == INF else min(int(cur) - 1, hi)
-        for h in range(top, lo - 1, -1):
-            if labels[h - lo] <= i < labels[h + 1 - lo]:
-                k = h
-                break
-        if k is None:
-            raise InvariantError("no available swap below the pending cross")
+        k = _fall(labels, lo, top if cur == INF else cur - 1, i, ())
         letters[j - 1] = k
+        if k >= top:
+            top = k + 1
         if trace is not None:
             finite = [int(a) for a in letters if a != INF] + [i]
             low, high = min(finite) - 1, max(finite) + 2
@@ -188,14 +209,22 @@ def monk_shuffle(i: int, word: Sequence[int], position: int,
             trace.append(f"placed {k} at position {j}; word = "
                          + " ".join("oo" if a == INF else str(a) for a in letters)
                          + f" ; labels(col {j}, h={low}..{high}) = {shown}")
-        perms.sweep_span(letters, labels, lo, crosses, j)
-        partner = _second_crossing(crosses, j, range(1, len(letters) + 1))
-        if partner is not None and validate:
-            if perms.defects(tuple(letters)) != tuple(sorted((partner, j))):
-                raise InvariantError("defect pair mismatch")
-            if partner >= j:
-                raise InvariantError("bumped cross should sit further left")
-        pending = partner
+        # the rest of the word is reduced and its crosses right of j read
+        # (low, high), so the wires a < b of the new cross can only meet
+        # again to its left; the sweep stops there, at the next column
+        a, b = labels[k - lo], labels[k + 1 - lo]
+        labels[k - lo], labels[k + 1 - lo] = b, a
+        partner = 0
+        for p in range(j - 1, 0, -1):
+            h = letters[p - 1] - lo
+            x, y = labels[h], labels[h + 1]
+            if x == b and y == a:
+                partner = p
+                break
+            labels[h], labels[h + 1] = y, x
+        if partner and validate and perms.defects(tuple(letters)) != (partner, j):
+            raise InvariantError("defect pair mismatch")
+        j = partner
     result = tuple(int(a) for a in letters)
     if validate:
         if not perms.is_reduced(result):
@@ -229,29 +258,38 @@ def monk_unshuffle(i: int, word: Sequence[int], source: Permutation,
         raise ValueError(f"transposition ({a},{b}) does not straddle {i}")
     if len(word) != source.length + 1:
         raise ValueError("length must go up by exactly one")
-    hits = [p for p, pair in enumerate(perms.wiring_sweep(word)[1], start=1)
-            if pair == (a, b)]
+    letters: list = list(word)
+    lo, top, labels = _window(word, len(word), i)
+    crosses: list = [None] * len(letters)
+    perms.sweep_span(letters, labels, lo, crosses, len(letters))
+    hits = [p for p, pair in enumerate(crosses, start=1) if pair == (a, b)]
     if len(hits) != 1:
         raise InvariantError("a reduced word shows each inversion exactly once")
     j = hits[0]
-    letters: list = list(word)
-    while letters[j - 1] != INF:
-        labels, lo, hi, crosses = _column_sweep(letters, j, i)
-        cur = int(letters[j - 1])
-        k: int | float = INF
-        for h in range(cur + 1, hi + 1):
-            if labels[h + 1 - lo] <= i < labels[h - lo]:
-                k = h
-                break
+    _carry_right(letters, labels, lo, 0, j)
+    while True:
+        k = _rise(labels, lo, int(letters[j - 1]) + 1, top, i, ())
+        if k is None:
+            letters[j - 1] = INF
+            break
         letters[j - 1] = k
-        if k != INF:
-            perms.sweep_span(letters, labels, lo, crosses, j)
-            partner = _second_crossing(crosses, j, range(1, len(letters) + 1))
-            if partner is None:
-                raise InvariantError("raised cross must recreate a crossing")
-            if validate and partner <= j:
-                raise InvariantError("defects move right while unwinding")
-            j = partner
+        if k >= top:
+            top = k + 1
+        # the word without j is reduced, so the new cross (high, low) meets
+        # its wires again only to the right; carrying the labels rightwards
+        # finds it and leaves those of its column
+        high, low = labels[k - lo], labels[k + 1 - lo]
+        for p in range(j + 1, len(letters) + 1):
+            h = letters[p - 1] - lo
+            x, y = labels[h], labels[h + 1]
+            labels[h], labels[h + 1] = y, x
+            if x == high and y == low:
+                break
+        else:
+            raise InvariantError("raised cross must recreate a crossing")
+        if validate and perms.defects(tuple(letters)) != (j, p):
+            raise InvariantError("defect pair mismatch")
+        j = p
     position = j
     out = tuple(int(a) for p, a in enumerate(letters, start=1) if p != position)
     if validate and not (perms.is_reduced(out) and perms.prod_word(out) == source):
@@ -260,45 +298,27 @@ def monk_unshuffle(i: int, word: Sequence[int], source: Permutation,
 
 
 # ---------------------------------------------------------------------------
-# bookkeeping set for the Pieri insertion
-
-
-class _CofiniteSet:
-    """All integers on one side of a pivot (above it, or at most it), XOR a
-    finite set of flipped integers."""
-
-    __slots__ = ("pivot", "above", "flipped")
-
-    def __init__(self, pivot: int, above: bool):
-        self.pivot = pivot
-        self.above = above
-        self.flipped: set[int] = set()
-
-    def __contains__(self, x: int) -> bool:
-        return ((x > self.pivot) == self.above) != (x in self.flipped)
-
-    def add(self, x: int) -> None:
-        if x not in self:
-            self.flipped ^= {x}
-
-    def remove(self, x: int) -> None:
-        if x not in self:
-            raise InvariantError(f"removing {x} from a set not holding it")
-        self.flipped ^= {x}
-
-    def describe(self) -> str:
-        out = f"{{k > {self.pivot}}}" if self.above else f"{{k <= {self.pivot}}}"
-        plus = sorted(x for x in self.flipped if x in self)
-        minus = sorted(x for x in self.flipped if x not in self)
-        if plus:
-            out += f" + {plus}"
-        if minus:
-            out += f" - {minus}"
-        return out
-
-
-# ---------------------------------------------------------------------------
 # Pieri insertion
+#
+# The book is kept as the set `flipped`: the column variant books the labels
+# x with (x > i) != (x in flipped), the row variant the rest, so x is booked
+# when ((x > i) != (x in flipped)) == column.
+
+
+def _pieri_line(note: str, slots: list, marks: list, down: set[int], i: int,
+                column: bool, flipped: set[int], at: int | None = None) -> str:
+    """A trace line: the marked word, the book and the labels of column `at`."""
+    line = f"{note}: {MarkedWord(tuple(slots), tuple(marks))} ; book = "
+    line += f"{{k > {i}}}" if column else f"{{k <= {i}}}"
+    plus = sorted(x for x in flipped if (x > i) != column)
+    minus = sorted(x for x in flipped if (x > i) == column)
+    line += (f" + {plus}" if plus else "") + (f" - {minus}" if minus else "")
+    if at is not None:
+        finite = [int(a) for a in slots if a != INF] + [i]
+        lo, hi = min(finite) - 1, max(finite) + 2
+        labels = perms.wiring_sweep(slots, at, down, range(lo, hi + 1))[0]
+        line += f" ; labels(col {at}, h={lo}..{hi}) = {labels}"
+    return line
 
 
 def pieri_shuffle(i: int, word: Sequence[int] | MarkedWord,
@@ -315,9 +335,121 @@ def pieri_shuffle(i: int, word: Sequence[int] | MarkedWord,
     base_word, _ = marked.word_and_positions()
     if not perms.is_reduced(base_word):
         raise ValueError("the unmarked content must be a reduced word")
-    engine = _PieriEngine(i, variant, list(marked.slots), list(marked.marks),
-                          validate=validate, trace=trace)
-    return engine.run_forward()
+    # the column variant books "big" labels, consumed via lower labels; the
+    # row variant "small" labels, consumed via upper labels.  So a cross
+    # swapping (lower, upper) is inserted when only the upper label is
+    # booked (column) or only the lower (row), and extracted in reverse.
+    if variant not in ("c", "r"):
+        raise ValueError("variant must be 'c' (column) or 'r' (row)")
+    column = variant == "c"
+    slots, marks = list(marked.slots), list(marked.marks)
+    down = {p for p, m in enumerate(marks, start=1) if m == DOWN}
+    up, flipped = set(), set()
+    booked_at: dict[int, int] = {}  # up position -> the label it booked
+    claims: dict[int, int] = {}  # bumped position -> the label it holds
+    source = perms.prod_word(base_word) if validate else None
+    if trace is not None:
+        trace.append(_pieri_line("start", slots, marks, down, i, column, flipped))
+    if down:
+        j = max(down)
+        lo, top, labels = _window(base_word, len(slots), i)
+        perms.sweep_span(slots, labels, lo, [None] * len(slots), len(slots), j, down)
+    while down:
+        # labels: those of column j, where the next pending cross sits
+        cur = slots[j - 1]
+        if cur != INF:
+            # the pending cross was bumped: release the label it was holding
+            lower, upper = labels[cur - lo], labels[cur + 1 - lo]
+            held = upper if column else lower
+            if validate and claims.pop(j) != held:
+                raise InvariantError("the released label must be the one booked at bump time")
+            if ((held > i) != (held in flipped)) != column:
+                raise InvariantError(f"removing {held} from a set not holding it")
+            flipped ^= {held}
+            hits = [p for p in sorted(up) if booked_at[p] == held]
+            if len(hits) != 1:
+                raise InvariantError(f"label {held} should be claimed exactly once, found {hits}")
+            if validate and hits[0] <= j:
+                raise InvariantError("the claiming cross sits to the right")
+            marks[hits[0] - 1] = None
+            up.remove(hits[0])
+        k = _fall(labels, lo, top if cur == INF else cur - 1, i, flipped)
+        slots[j - 1] = k
+        if k >= top:
+            top = k + 1
+        marks[j - 1] = UP
+        down.remove(j)
+        up.add(j)
+        lower, upper = labels[k - lo], labels[k + 1 - lo]
+        if validate and not lower < upper:
+            raise InvariantError("insertions never create a defect on their right")
+        booked = booked_at[j] = lower if column else upper
+        if ((booked > i) != (booked in flipped)) != column:
+            flipped ^= {booked}
+        # sweep j..1: a bump partner is a visible cross left of j showing
+        # the new pair reversed; the labels of the next pending column (the
+        # first pending or bumped position met) are kept for the next step
+        labels[k - lo], labels[k + 1 - lo] = upper, lower
+        partner = nxt = 0
+        for p in range(j - 1, 0, -1):
+            if p in down:
+                if not nxt:
+                    nxt, kept = p, labels.copy()
+                continue
+            h = slots[p - 1] - lo
+            x, y = labels[h], labels[h + 1]
+            if x == upper and y == lower:
+                if partner:
+                    raise InvariantError(f"wires {lower},{upper} cross more than twice")
+                partner = p
+                if not nxt:
+                    nxt, kept = p, labels.copy()
+            labels[h], labels[h + 1] = y, x
+        if partner:
+            if validate:
+                if marks[partner - 1] is not None:
+                    raise InvariantError("only plain crosses get bumped")
+                claims[partner] = booked
+            marks[partner - 1] = DOWN
+            down.add(partner)
+        if trace is not None:
+            trace.append(_pieri_line(f"placed {k} at {j}", slots, marks, down, i,
+                                     column, flipped, j))
+        if validate:
+            if down and max(down) >= j:
+                raise InvariantError("pending marks must move left")
+            _check_unmarked_subword(slots, marks, down, up, column, source)
+        if nxt:
+            j, labels = nxt, kept
+    result = tuple(int(a) for a in slots)
+    if validate and not perms.is_reduced(result):
+        raise InvariantError("the insertion must give a reduced word")
+    return result
+
+
+def _check_unmarked_subword(slots: list, marks: list, down: set[int], up: set[int],
+                            column: bool, source: Permutation) -> None:
+    """The unmarked subword, after cancelling each pending mark against
+    the up-marked cross claiming its held label, is the rightmost subword
+    for the original permutation inside the visible (non-pending) word.
+    """
+    crosses = perms.wiring_sweep(slots, skip=down)[1]
+    virtual = {p for p, m in enumerate(marks, start=1) if m is None}
+    ups = sorted(up)
+    for j in down:
+        if slots[j - 1] == INF:
+            continue
+        held = crosses[j - 1][1 if column else 0]
+        for p in ups:
+            if crosses[p - 1][0 if column else 1] == held:
+                virtual.add(p)
+                break
+    visible = tuple(None if (p in down or a == INF) else a
+                    for p, a in enumerate(slots, start=1))
+    expected = rightmost_subword(visible, source)
+    if frozenset(virtual) != frozenset(expected):
+        raise InvariantError(f"unmarked subword {sorted(virtual)} "
+                             f"!= rightmost subword {sorted(expected)}")
 
 
 def pieri_unshuffle(i: int, word: Sequence[int], source: Permutation,
@@ -331,235 +463,101 @@ def pieri_unshuffle(i: int, word: Sequence[int], source: Permutation,
     word = tuple(word)
     if not perms.is_reduced(word):
         raise ValueError("expected a reduced word")
-    chosen = rightmost_subword(word, source)
-    marks: list = [None if p in chosen else UP for p in range(1, len(word) + 1)]
-    engine = _PieriEngine(i, variant, list(word), marks,
-                          validate=validate, trace=trace)
-    return engine.run_backward()
-
-
-class _PieriEngine:
-    def __init__(self, i: int, variant: str, slots: list, marks: list,
-                 validate: bool = False, trace: list[str] | None = None):
-        if variant not in ("c", "r"):
-            raise ValueError("variant must be 'c' (column) or 'r' (row)")
-        self.i = i
-        self.slots = slots
-        self.marks = marks
-        self.down = {p for p, m in enumerate(marks, start=1) if m == DOWN}
-        self.up = {p for p, m in enumerate(marks, start=1) if m == UP}
-        self.validate = validate
-        self.trace = trace
-        # column variant books "big" labels, consumed via lower labels;
-        # row variant books "small" labels, consumed via upper labels.  So a
-        # cross swapping (lower, upper) may be inserted when only the upper
-        # label is booked (column) or only the lower (row); extracted when
-        # the reverse holds.
-        self.column_variant = variant == "c"
-        self.book = _CofiniteSet(i, above=self.column_variant)
-        if validate:
-            self.source = perms.prod_word(self._unmarked_letters())
-            self._claims: dict[int, int] = {}
-
-    # -- marks and visibility
-
-    def _mark(self, p: int, mark) -> None:
-        self.marks[p - 1] = mark
-        self.down.discard(p)
-        self.up.discard(p)
-        if mark is not None:
-            (self.down if mark == DOWN else self.up).add(p)
-
-    def _unmarked_letters(self) -> Word:
-        return tuple(int(a) for a, m in zip(self.slots, self.marks)
-                     if m is None and a != INF)
-
-    def _crosses(self) -> list:
-        """The label pair of every cross, pending (down-marked) crosses
-        swapping nothing; index position - 1."""
-        return perms.wiring_sweep(self.slots, skip=self.down)[1]
-
-    def _snapshot(self, note: str, column: int | None = None) -> None:
-        if self.trace is None:
-            return
-        line = (f"{note}: {MarkedWord(tuple(self.slots), tuple(self.marks))}"
-                f" ; book = {self.book.describe()}")
-        if column is not None:
-            finite = [int(a) for a in self.slots if a != INF] + [self.i]
-            lo, hi = min(finite) - 1, max(finite) + 2
-            labels = perms.wiring_sweep(self.slots, column, self.down, range(lo, hi + 1))[0]
-            line += f" ; labels(col {column}, h={lo}..{hi}) = {labels}"
-        self.trace.append(line)
-
-    # -- forward run
-
-    def run_forward(self) -> Word:
-        self._snapshot("start")
-        guard = 0
-        while self.down:
-            guard += 1
-            if guard > 100 * len(self.slots) + 1000:
-                raise InvariantError("insertion loop failed to terminate")
-            j = max(self.down)
-            self._step_forward(j)
-            if self.validate:
-                if self.down and max(self.down) >= j:
-                    raise InvariantError("pending marks must move left")
-                self._check_unmarked_subword()
-        result = tuple(int(a) for a in self.slots)
-        if self.validate and not perms.is_reduced(result):
-            raise InvariantError("the insertion must give a reduced word")
-        return result
-
-    def _step_forward(self, j: int) -> None:
-        cur = self.slots[j - 1]
-        labels, lo, hi, crosses = _column_sweep(self.slots, j, self.i, self.down)
-        if cur != INF:
-            # the pending cross was bumped: release the label it was holding
-            perms.sweep_span(self.slots, labels.copy(), lo, crosses, j, 0, self.down)
-            lower, upper = crosses[j - 1]
-            held = upper if self.column_variant else lower
-            if self.validate and self._claims.pop(j) != held:
-                raise InvariantError("the released label must be the one booked at bump time")
-            self.book.remove(held)
-            self._release_partner_mark(crosses, j, held)
-        top = hi if cur == INF else min(int(cur) - 1, hi)
-        k = None
-        upper_in = labels[top + 1 - lo] in self.book
-        for h in range(top, lo - 1, -1):
-            lower_in = labels[h - lo] in self.book
-            if upper_in is self.column_variant and lower_in is not self.column_variant:
-                k = h
-                break
-            upper_in = lower_in
+    chosen = set(rightmost_subword(word, source))
+    if variant not in ("c", "r"):
+        raise ValueError("variant must be 'c' (column) or 'r' (row)")
+    column = variant == "c"
+    slots, n = list(word), len(word)
+    marks: list = [None if p in chosen else UP for p in range(1, n + 1)]
+    up = {p for p in range(1, n + 1) if p not in chosen}
+    down, flipped = set(), set()
+    if up:
+        # up marks are consumed left to right, the down marks they leave
+        # all sit left of j, and no letter right of j has changed: the
+        # labels of column j swap at every cross right of it
+        j = min(up)
+        lo, top, labels = _window(word, n, i)
+        crosses: list = [None] * n
+        perms.sweep_span(slots, labels, lo, crosses, n, j)
+        crosses[j - 1] = (labels[slots[j - 1] - lo], labels[slots[j - 1] + 1 - lo])
+        for p in up:
+            x = crosses[p - 1][0 if column else 1]
+            if ((x > i) != (x in flipped)) != column:
+                flipped ^= {x}
+    if trace is not None:
+        trace.append(_pieri_line("start", slots, marks, down, i, column, flipped))
+    while up:
+        cur = slots[j - 1]
+        lower, upper = labels[cur - lo], labels[cur + 1 - lo]
+        # if the cross at j had bumped another one down, un-bump it first:
+        # sweep a copy of the labels down to the lowest pending finite cross
+        pending = [p for p in down if slots[p - 1] != INF]
+        if pending:
+            copy = labels.copy()
+            partner = 0
+            for p in range(j, min(pending) - 1, -1):
+                a = slots[p - 1]
+                if p in down:
+                    if a != INF and copy[a - lo] == upper and copy[a + 1 - lo] == lower:
+                        if partner:
+                            raise InvariantError("two pending crosses claim the same wires")
+                        partner = p
+                    continue
+                a -= lo
+                copy[a], copy[a + 1] = copy[a + 1], copy[a]
+            if partner:
+                marks[partner - 1] = None
+                down.remove(partner)
+        held = lower if column else upper
+        if ((held > i) != (held in flipped)) != column:
+            raise InvariantError(f"removing {held} from a set not holding it")
+        flipped ^= {held}
+        k = _rise(labels, lo, cur + 1, top, i, flipped)
+        marks[j - 1] = DOWN
+        up.remove(j)
+        down.add(j)
         if k is None:
-            raise InvariantError("no available swap below the pending cross")
-        self.slots[j - 1] = k
-        self._mark(j, UP)
-        perms.sweep_span(self.slots, labels, lo, crosses, j, 0, self.down)
-        lower, upper = crosses[j - 1]
-        if self.validate and not lower < upper:
-            raise InvariantError("insertions never create a defect on their right")
-        booked = lower if self.column_variant else upper
-        self.book.add(booked)
-        partner = _second_crossing(crosses, j,
-                                   [p for p in range(1, j) if p not in self.down])
-        if partner is not None:
-            if self.validate:
-                if self.marks[partner - 1] is not None:
-                    raise InvariantError("only plain crosses get bumped")
-                self._claims[partner] = booked
-            self._mark(partner, DOWN)
-        self._snapshot(f"placed {k} at {j}", column=j)
-
-    def _release_partner_mark(self, crosses: list, j: int, held: int) -> None:
-        """Drop the up mark from the cross that had claimed the held label."""
-        side = 0 if self.column_variant else 1
-        hits = [p for p in sorted(self.up) if crosses[p - 1][side] == held]
-        if len(hits) != 1:
-            raise InvariantError(f"label {held} should be claimed exactly once, found {hits}")
-        if self.validate and hits[0] <= j:
-            raise InvariantError("the claiming cross sits to the right")
-        self._mark(hits[0], None)
-
-    def _check_unmarked_subword(self) -> None:
-        """The unmarked subword, after cancelling each pending mark against
-        the up-marked cross claiming its held label, is the rightmost subword
-        for the original permutation inside the visible (non-pending) word.
-        """
-        crosses = self._crosses()
-        virtual = {p for p, m in enumerate(self.marks, start=1) if m is None}
-        ups = sorted(self.up)
-        for j in self.down:
-            if self.slots[j - 1] == INF:
-                continue
-            lower, upper = crosses[j - 1]
-            held = upper if self.column_variant else lower
-            for p in ups:
-                lo_p, up_p = crosses[p - 1]
-                probe = lo_p if self.column_variant else up_p
-                if probe == held:
-                    virtual.add(p)
-                    break
-        visible = tuple(None if (p in self.down or a == INF) else a
-                        for p, a in enumerate(self.slots, start=1))
-        expected = rightmost_subword(visible, self.source)
-        if frozenset(virtual) != frozenset(expected):
-            raise InvariantError(f"unmarked subword {sorted(virtual)} "
-                                 f"!= rightmost subword {sorted(expected)}")
-
-    # -- backward run
-
-    def run_backward(self) -> MarkedWord:
-        side = 0 if self.column_variant else 1
-        crosses = self._crosses()
-        for p in self.up:
-            self.book.add(crosses[p - 1][side])
-        self._snapshot("start")
-        guard = 0
-        while self.up:
-            guard += 1
-            if guard > 100 * len(self.slots) + 1000:
-                raise InvariantError("extraction loop failed to terminate")
-            j = min(self.up)
-            self._step_backward(j)
-            if self.validate and self.up and min(self.up) <= j:
+            slots[j - 1] = INF
+        else:
+            slots[j - 1] = k
+            if k >= top:
+                top = k + 1
+            booked = labels[k + 1 - lo] if column else labels[k - lo]
+            if ((booked > i) != (booked in flipped)) != column:
+                flipped ^= {booked}
+            # the defect mate: the unmarked cross right of j where the two
+            # wires of the new cross meet again, up-marked crosses swapping
+            # nothing.  Their heights are followed rightwards from column j;
+            # a cross at h swaps heights h and h + 1.
+            ha, hb = k, k + 1
+            hits = []
+            for p in range(j + 1, n + 1):
+                if p in up:
+                    continue
+                h = slots[p - 1]
+                if ha == h and hb == h + 1:
+                    hits.append(p)
+                ha = 2 * h + 1 - ha if h <= ha <= h + 1 else ha
+                hb = 2 * h + 1 - hb if h <= hb <= h + 1 else hb
+            if len(hits) != 1:
+                raise InvariantError(f"expected one defect mate for {j}, found {hits}")
+            marks[hits[0] - 1] = UP
+            up.add(hits[0])
+        if trace is not None:
+            trace.append(_pieri_line(f"raised {j} to {'oo' if k is None else k}", slots,
+                                     marks, down, i, column, flipped, j))
+        if up:
+            nxt = min(up)
+            if validate and nxt <= j:
                 raise InvariantError("up marks are consumed left to right")
-        if any(self.slots[p - 1] != INF for p in self.down):
-            raise InvariantError("pending finite crosses survived the unwinding")
-        result = MarkedWord(tuple(self.slots), tuple(self.marks))
-        if self.validate and not perms.is_reduced(result.word_and_positions()[0]):
-            raise InvariantError("the extraction must give a reduced word")
-        return result
-
-    def _step_backward(self, j: int) -> None:
-        column, lo, hi, crosses = _column_sweep(self.slots, j, self.i, self.down)
-        perms.sweep_span(self.slots, column.copy(), lo, crosses, j, 0, self.down)
-        lower, upper = crosses[j - 1]
-        # if the cross at j had bumped another one down, un-bump it first
-        partner = None
-        for p in self.down:
-            if p >= j or self.slots[p - 1] == INF:
-                continue
-            if crosses[p - 1] == (upper, lower):
-                if partner is not None:
-                    raise InvariantError("two pending crosses claim the same wires")
-                partner = p
-        if partner is not None:
-            self._mark(partner, None)
-        self.book.remove(lower if self.column_variant else upper)
-        cur = int(self.slots[j - 1])
-        k: int | float = INF
-        lower_in = column[cur + 1 - lo] in self.book
-        for h in range(cur + 1, hi + 1):
-            upper_in = column[h + 1 - lo] in self.book
-            if lower_in is self.column_variant and upper_in is not self.column_variant:
-                k = h
-                break
-            lower_in = upper_in
-        self.slots[j - 1] = k
-        self._mark(j, DOWN)
-        if k != INF:
-            # the new cross at j swaps the labels of column j at heights k, k+1
-            lower, upper = column[k - lo], column[k + 1 - lo]
-            self.book.add(upper if self.column_variant else lower)
-            mate = self._defect_mate_in_unmarked(j)
-            self._mark(mate, UP)
-        self._snapshot(f"raised {j} to {'oo' if k == INF else k}", column=j)
-
-    def _defect_mate_in_unmarked(self, j: int) -> int:
-        """The unmarked position whose cross pairs with j inside the subword
-        of unmarked letters plus j itself.  The pairing cross sits to the
-        right of j: pending marks are created leftwards, so they unwind
-        rightwards (the Monk extraction's "rightmost defect")."""
-        skip = (self.down | self.up) - {j}
-        crosses = perms.wiring_sweep(self.slots, skip=skip)[1]
-        a, b = crosses[j - 1]
-        hits = [p for p in range(j + 1, len(self.slots) + 1)
-                if p not in skip and crosses[p - 1] == (b, a)]
-        if len(hits) != 1:
-            raise InvariantError(f"expected one defect mate for {j}, found {hits}")
-        return hits[0]
+            _carry_right(slots, labels, lo, j, nxt)
+            j = nxt
+    if any(slots[p - 1] != INF for p in down):
+        raise InvariantError("pending finite crosses survived the unwinding")
+    result = MarkedWord(tuple(slots), tuple(marks))
+    if validate and not perms.is_reduced(result.word_and_positions()[0]):
+        raise InvariantError("the extraction must give a reduced word")
+    return result
 
 
 # ---------------------------------------------------------------------------

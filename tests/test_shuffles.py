@@ -387,6 +387,55 @@ def test_golden_digest():
     assert digest == "776733176314dd4ec4ab2c8cc42489caa080789e6c7c8bd8e0fcb3b0d46fae71"
 
 
+def _edge_lines():
+    """Seeded S6-S7 words, and the same words moved to letters <= 0, with i
+    inside, next to and far from their letters: validated Monk and Pieri round
+    trips (k = 1-3, both variants), unshuffles against mostly wrong sources,
+    and traced runs.  The label window of a run must reach every height these
+    searches stop at."""
+    rng = random.Random(18)
+    words = []
+    for n in (6, 7, 6, 7):
+        w = rng.choice(reduced_words(Permutation.from_one_line(rng.sample(range(1, n + 1), n))))
+        words += [w, tuple(a - n for a in w)]
+    for w in words:
+        p = prod_word(w)
+        for i in (-3, 0, 9, 12):
+            for j in rng.sample(range(1, len(w) + 2), 3):
+                out = monk_shuffle(i, w, j, validate=True)
+                back = monk_unshuffle(i, out, p, validate=True)
+                yield f"monk {i} {w} {j} -> {out} <- {back}"
+            for k, variant in itertools.product((1, 2, 3), "cr"):
+                positions = tuple(sorted(rng.sample(range(1, len(w) + k + 1), k)))
+                out = pieri_shuffle(i, w, positions, variant=variant, validate=True)
+                back = pieri_unshuffle(i, out, p, variant=variant, validate=True)
+                yield f"pieri {variant} {i} {w} {positions} -> {out} <- {back}"
+                q = prod_word(w[rng.randrange(len(w) + 1):])
+                for validate in (False, True):
+                    got = _repr_or_error(pieri_unshuffle, i, out, q, variant=variant,
+                                         validate=validate)
+                    yield f"pieri-inv {variant} {i} {out} {q} {validate}: {got}"
+            q = prod_word(w[rng.randrange(len(w) + 1):])
+            yield f"monk-inv {i} {w} {q}: {_repr_or_error(monk_unshuffle, i, w, q)}"
+        i = rng.choice((-3, 0, 9, 12))
+        trace: list[str] = []
+        monk_shuffle(i, w, rng.randrange(1, len(w) + 2), validate=True, trace=trace)
+        variant = rng.choice("cr")
+        positions = tuple(sorted(rng.sample(range(1, len(w) + 4), 3)))
+        out = pieri_shuffle(i, w, positions, variant=variant, validate=True, trace=trace)
+        pieri_unshuffle(i, out, p, variant=variant, validate=True, trace=trace)
+        yield from trace
+
+
+def test_window_edge_digest():
+    """Recorded before each run kept one label window: outputs, error text
+    and trace text where the pivot or the letters sit at the window's edge."""
+    lines = list(_edge_lines())
+    assert len(lines) == 784
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "a73349691c17478748e3f34917c0f88666e9c28880edd38128efbba555f133b5"
+
+
 # -- round trips on random reduced words in S6-S8 -----------------------------
 
 
