@@ -65,6 +65,15 @@ class MarkedWord(Record):
         _set(self, "slots", slots)
         _set(self, "marks", marks)
 
+    @staticmethod
+    def _trusted(slots: tuple, marks: tuple) -> "MarkedWord":
+        """A marked word from slots and marks known to pass the checks of
+        __init__, unchecked."""
+        marked = object.__new__(MarkedWord)
+        _set(marked, "slots", slots)
+        _set(marked, "marks", marks)
+        return marked
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return self.slots == other.slots and self.marks == other.marks
@@ -73,13 +82,15 @@ class MarkedWord(Record):
     def __hash__(self) -> int:
         return hash((self.slots, self.marks))
 
-    def infinity_positions(self) -> tuple[int, ...]:
-        return tuple(p for p, a in enumerate(self.slots, start=1) if a == INF)
-
     def word_and_positions(self) -> tuple[Word, tuple[int, ...]]:
         """Finite letters in order, plus the 1-based INF positions."""
-        word = tuple(int(a) for a in self.slots if a != INF)
-        return word, self.infinity_positions()
+        word, positions = [], []
+        for p, a in enumerate(self.slots, start=1):
+            if a == INF:
+                positions.append(p)
+            else:
+                word.append(int(a))
+        return tuple(word), tuple(positions)
 
     def __str__(self) -> str:
         suffix = {None: "", DOWN: "v", UP: "^"}
@@ -91,24 +102,27 @@ def insert_slots(word: Sequence[int], positions: Sequence[int]) -> MarkedWord:
     """Pad a word with down-marked INF slots at the given 1-based positions
     of the padded word.
     """
+    slots, marks = _padded(word, positions)
+    return MarkedWord._trusted(tuple(slots), tuple(marks))
+
+
+def _padded(word: Sequence[int], positions: Sequence[int]) -> tuple[list, list]:
+    """The slots and marks of insert_slots, as lists.  Its checks are those
+    of insert_slots: the positions first, then the one that MarkedWord makes
+    of unmarked slots, that no letter is INF."""
     total = len(word) + len(positions)
     wanted = sorted(positions)
     if wanted != list(positions) or len(set(wanted)) != len(wanted):
         raise ValueError("positions must be strictly increasing")
     if wanted and (wanted[0] < 1 or wanted[-1] > total):
         raise ValueError("positions out of range")
-    slots: list = []
-    marks: list = []
-    letters = iter(word)
-    spots = set(wanted)
-    for p in range(1, total + 1):
-        if p in spots:
-            slots.append(INF)
-            marks.append(DOWN)
-        else:
-            slots.append(next(letters))
-            marks.append(None)
-    return MarkedWord(tuple(slots), tuple(marks))
+    if INF in word:
+        raise ValueError("INF slots must carry the down mark")
+    slots, marks = list(word), [None] * len(word)
+    for p in wanted:
+        slots.insert(p - 1, INF)
+        marks.insert(p - 1, DOWN)
+    return slots, marks
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +243,8 @@ def monk_shuffle(i: int, word: Sequence[int], position: int,
     if validate:
         if not perms.is_reduced(result):
             raise InvariantError("the insertion must give a reduced word")
-        if perms.prod_word(result).length != perms.prod_word(word).length + 1:
+        # both words are reduced, so their lengths are those of their permutations
+        if len(result) != len(word) + 1:
             raise InvariantError("the insertion must add one to the length")
     return result
 
@@ -243,30 +258,43 @@ def monk_unshuffle(i: int, word: Sequence[int], source: Permutation,
     output word arises from different sources.
     """
     word = tuple(word)
-    if not perms.is_reduced(word):
-        raise ValueError("expected a reduced word")
-    sigma = perms.prod_word(word)
-    # word = source * t(a, b): a and b are the points the two move differently
-    start = min(sigma.lo, source.lo)
-    end = max(sigma.lo + len(sigma.window), source.lo + len(source.window)) - 1
-    moved = [x for x, u, v in zip(range(start, end + 1), sigma.one_line(start, end),
-                                  source.one_line(start, end)) if u != v]
+    letters: list = list(word)
+    lo, top, labels = _window(word, len(word), i)
+    # one sweep from the right to column 0: each cross raises the number of
+    # inversions of the labels by one exactly when it finds them in order,
+    # so the word is reduced when every cross does
+    for p in range(len(letters) - 1, -1, -1):
+        h = letters[p] - lo
+        x, y = labels[h], labels[h + 1]
+        if x > y:
+            raise ValueError("expected a reduced word")
+        labels[h], labels[h + 1] = y, x
+    # word = sigma = source * t(a, b): a and b are the points the two move
+    # differently.  Column 0 holds sigma^-1, so x is moved when
+    # sigma^-1(source(x)) != x; inv lists sigma^-1 on start..end
+    start = min(min(word, default=i), source.lo)
+    end = max(max(word, default=i) + 1, source.lo + len(source.window) - 1)
+    inv = [*range(start, lo), *labels[max(start - lo, 0):end + 1 - lo],
+           *range(lo + len(labels), end + 1)]
+    moved = [x for x, y in zip(range(start, end + 1), source.one_line(start, end))
+             if inv[y - start] != x]
     if len(moved) != 2:
         raise ValueError("word is not obtained from the source by one transposition")
-    a, b = min(moved), max(moved)
+    a, b = moved
     if not (a <= i < b):
         raise ValueError(f"transposition ({a},{b}) does not straddle {i}")
     if len(word) != source.length + 1:
         raise ValueError("length must go up by exactly one")
-    letters: list = list(word)
-    lo, top, labels = _window(word, len(word), i)
-    crosses: list = [None] * len(letters)
-    perms.sweep_span(letters, labels, lo, crosses, len(letters))
-    hits = [p for p, pair in enumerate(crosses, start=1) if pair == (a, b)]
-    if len(hits) != 1:
+    # carry the labels rightwards to the column of the cross (a, b): two
+    # wires of a reduced word meet at most once, so the first meeting is it
+    for j in range(1, len(letters) + 1):
+        h = letters[j - 1] - lo
+        x, y = labels[h], labels[h + 1]
+        labels[h], labels[h + 1] = y, x
+        if x == b and y == a:
+            break
+    else:
         raise InvariantError("a reduced word shows each inversion exactly once")
-    j = hits[0]
-    _carry_right(letters, labels, lo, 0, j)
     while True:
         k = _rise(labels, lo, int(letters[j - 1]) + 1, top, i, ())
         if k is None:
@@ -329,10 +357,15 @@ def pieri_shuffle(i: int, word: Sequence[int] | MarkedWord,
     the input word's permutation by the column (variant "c") or row
     (variant "r") Pieri relation with parameters (i, k).
     """
-    marked = word if isinstance(word, MarkedWord) else insert_slots(word, positions or ())
-    if any(a != INF and m is not None for a, m in zip(marked.slots, marked.marks)):
-        raise ValueError("only INF slots may be marked on input")
-    base_word, _ = marked.word_and_positions()
+    if isinstance(word, MarkedWord):
+        if any(a != INF and m is not None for a, m in zip(word.slots, word.marks)):
+            raise ValueError("only INF slots may be marked on input")
+        base_word, positions = word.word_and_positions()
+        slots, marks = list(word.slots), list(word.marks)
+    else:
+        positions = positions or ()
+        slots, marks = _padded(word, positions)
+        base_word = tuple(word)
     if not perms.is_reduced(base_word):
         raise ValueError("the unmarked content must be a reduced word")
     # the column variant books "big" labels, consumed via lower labels; the
@@ -342,8 +375,7 @@ def pieri_shuffle(i: int, word: Sequence[int] | MarkedWord,
     if variant not in ("c", "r"):
         raise ValueError("variant must be 'c' (column) or 'r' (row)")
     column = variant == "c"
-    slots, marks = list(marked.slots), list(marked.marks)
-    down = {p for p, m in enumerate(marks, start=1) if m == DOWN}
+    down = set(positions)
     up, flipped = set(), set()
     booked_at: dict[int, int] = {}  # up position -> the label it booked
     claims: dict[int, int] = {}  # bumped position -> the label it holds
@@ -459,6 +491,12 @@ def pieri_unshuffle(i: int, word: Sequence[int], source: Permutation,
     reduced word, leaving INF slots at the insertion positions.  The source
     permutation (whose rightmost subword seeds the marking) must be a Pieri
     predecessor of the word's permutation.
+
+    That is not checked here.  A word that is not reduced, or that does not
+    contain the source, raises ValueError, but any other source that is not
+    a Pieri predecessor can raise InvariantError or return a MarkedWord that
+    pieri_shuffle does not map back to the word.  Callers that cannot vouch
+    for the pair check it first with pieri_relation, as the CLI does.
     """
     word = tuple(word)
     if not perms.is_reduced(word):
@@ -554,7 +592,8 @@ def pieri_unshuffle(i: int, word: Sequence[int], source: Permutation,
             j = nxt
     if any(slots[p - 1] != INF for p in down):
         raise InvariantError("pending finite crosses survived the unwinding")
-    result = MarkedWord(tuple(slots), tuple(marks))
+    # every INF slot was made by the run, down-marked
+    result = MarkedWord._trusted(tuple(slots), tuple(marks))
     if validate and not perms.is_reduced(result.word_and_positions()[0]):
         raise InvariantError("the extraction must give a reduced word")
     return result

@@ -436,6 +436,75 @@ def test_window_edge_digest():
     assert digest == "a73349691c17478748e3f34917c0f88666e9c28880edd38128efbba555f133b5"
 
 
+def _entry_error_lines():
+    """Off-domain calls to the four entry points, with each outcome: words
+    that are not reduced, bad positions, bad variants, marked finite slots,
+    and sources that are not one transposition away, do not straddle i, sit
+    far from the word, or are off in length.  Several faults at once show
+    which check comes first."""
+    bad_words = [(1, 1), (1, 2, 1, 2), (3, 2, 3, 2, 4), (0, 0, 1)]
+    good_words = [(), (2,), (1, 2, 1), (3, 1, 2, 3), (-1, 0, -1)]
+    for w in bad_words + good_words:
+        for j in (-1, 0, 1, len(w) + 1, len(w) + 2):
+            yield f"monk {w} {j}: {_repr_or_error(monk_shuffle, 2, w, j)}"
+    sources = [Permutation.identity(), Permutation.transposition(1, 2),
+               Permutation.transposition(1, 3), Permutation.transposition(2, 4),
+               parse_permutation("[321]"), parse_permutation("[2143]"),
+               Permutation.transposition(-30, 40), Permutation.transposition(20, 21),
+               Permutation(-12, (-11, -12)), prod_word((3, 1, 2, 3, 1))]
+    for w in bad_words + good_words + [(1, 2), (2, 1, 2, 3), (20,), (-12,)]:
+        for q in sources:
+            for i in (-12, 0, 1, 2, 3, 20):
+                yield f"monk-inv {i} {w} {q}: {_repr_or_error(monk_unshuffle, i, w, q)}"
+    positions = [(), (1,), (3, 1), (2, 2), (1, 2, 2), (0,), (-1, 2), (4,), (1, 9), (2, 3)]
+    for w in bad_words + good_words:
+        for pos in positions:
+            for variant in ("c", "r", "x"):
+                got = _repr_or_error(pieri_shuffle, 2, w, pos, variant=variant)
+                yield f"pieri {variant} {w} {pos}: {got}"
+    yield f"pieri oo: {_repr_or_error(pieri_shuffle, 2, (1, INF), (1,))}"
+    yield f"pieri oo-only: {_repr_or_error(pieri_shuffle, 2, (INF,), ())}"
+    for slots, marks in (((1, INF), ("up", "down")), ((1,), ("down",)), ((INF, 2), ("down", None)),
+                         ((2, 2, INF), (None, "up", "down")), ((2, 2, INF), (None, None, "down")),
+                         ((1, 2, INF, 1), (None, None, "down", None))):
+        marked = MarkedWord(slots, marks)
+        for variant in ("c", "x"):
+            got = _repr_or_error(pieri_shuffle, 2, marked, variant=variant)
+            yield f"pieri-marked {variant} {marked}: {got}"
+    for w in bad_words + good_words + [(2, 1, 2, 3), (20,)]:
+        for q in sources:
+            for variant in ("c", "x"):
+                for validate in (False, True):
+                    got = _repr_or_error(pieri_unshuffle, 2, w, q, variant=variant,
+                                         validate=validate)
+                    yield f"pieri-inv {variant} {validate} {w} {q}: {got}"
+
+
+def test_entry_error_digest():
+    """Recorded before the entry checks of the four calls were merged into
+    their runs: the exception class and message of every off-domain call,
+    in the order the checks meet them.  Padding a word by insert_slots first
+    gives pieri_shuffle the same output or the same error."""
+    lines = list(_entry_error_lines())
+    assert len(lines) == 1549
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "c16ef08381a8a39efd29b339d676370cec1b2457767a4d6cd49a2ebd450f424c"
+    rng = random.Random(56)
+    for n in (5, 6, 5, 6, 6):
+        for p in rng.sample(list(symmetric_group(n)), 8):
+            w = rng.choice(reduced_words(p))
+            if rng.random() < 0.25:
+                w += w[-1:]  # not reduced
+            k = rng.randrange(0, 4)
+            pos = sorted(rng.sample(range(0, len(w) + k + 2), k))
+            if rng.random() < 0.25:
+                pos.reverse()
+            variant = rng.choice(["c", "r", "c", "r", "x"])
+            i = rng.randrange(-1, n + 1)
+            padded = _repr_or_error(lambda: pieri_shuffle(i, insert_slots(w, pos), variant=variant))
+            assert padded == _repr_or_error(pieri_shuffle, i, w, pos, variant=variant), (w, pos)
+
+
 # -- round trips on random reduced words in S6-S8 -----------------------------
 
 
