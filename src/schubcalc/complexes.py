@@ -605,7 +605,8 @@ def interior_faces(family: str, shape: shapes.Shape, n: int,
         svt = elements_to_set_valued(ambient - face, shape)
         if svt is None:
             continue
-        if shapes.classify_set_valued(svt, family, n) == "set-valued":
+        if (shapes.classify_set_valued(svt, family, n) == "set-valued" if family == "syt"
+                else shapes._every_selection_fits(svt, family, n)):
             out.add(face)
     return frozenset(out)
 

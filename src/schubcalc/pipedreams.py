@@ -11,9 +11,9 @@ the dream is reduced when the word is, equivalently when its excess is 0.
 
 One search, _search, holds every prune and merges the paths that share a
 state.  all_pipe_dreams codes a dream by its cells and lists the dreams;
-weight_counts codes it by its weight and counts them, as the Schubert and
-Grothendieck polynomials need.  The quasi-Yamanouchi dream of a word is read
-off its greatest compatible row sequence, with no enumeration.
+weight_terms codes it by its weight and decodes each code once into x^weight,
+the terms of the Schubert and Grothendieck polynomials.  The quasi-Yamanouchi
+dream of a word is read off its greatest compatible row sequence.
 chute_moves and ladder_moves act on one dream; their closure from the
 bottom pipe dream (Bergeron-Billey, "RC-graphs and Schubert polynomials",
 1993) is the independent route that tests/oracles.py checks the reduced
@@ -224,10 +224,11 @@ def _search(p: Permutation, n: int, max_excess: int | None,
     (Deodhar's lifting property), so only the other lengthening letters
     consult the Bruhat test, memoised per call.  At the end (a) and (b) say
     x == p.  The paths that reach one state share one map from code to
-    signed count: Fomin-Kirillov's row product in the nilCoxeter and 0-Hecke
-    algebras ("The Yang-Baxter equation, symmetric functions, and Schubert
-    polynomials", 1996; "Grothendieck polynomials and the Yang-Baxter
-    equation", 1994).
+    signed count, each move merging its map into the state it reaches with
+    one setdefault (a new state adopts the map): Fomin-Kirillov's row product in
+    the nilCoxeter and 0-Hecke algebras ("The Yang-Baxter equation, symmetric
+    functions, and Schubert polynomials", 1996; "Grothendieck polynomials and
+    the Yang-Baxter equation", 1994).
     """
     if (max_excess is not None and max_excess < 0
             or p.support is not None and (p.support[0] < 1 or p.support[1] > n)):
@@ -240,25 +241,29 @@ def _search(p: Permutation, n: int, max_excess: int | None,
         merged: dict = {}
         for (x, length, excess), counts in states.items():
             u, v = x[i], x[i + 1]
-            moves = []
             if u > v or (max(x[r - 1:i + 1]) >= target[r - 1] if c > 1 else u == target[i]):
-                moves.append(((x, length, excess), counts))
-            if u > v and (max_excess is None or excess < max_excess):
-                moves.append(((x, length, excess + (max_excess is not None)),
-                              {code + piece: -m for code, m in counts.items()}))
-            elif u < v:
+                into = merged.setdefault((x, length, excess), counts)  # skip the cell
+                if into is not counts:
+                    for code, m in counts.items():
+                        into[code] = into.get(code, 0) + m
+            if u > v:  # take a descent: the excess grows and the sign flips
+                if max_excess is not None and excess >= max_excess:
+                    continue
+                key = (x, length, excess + (max_excess is not None))
+                more = {code + piece: -m for code, m in counts.items()}
+            else:
                 y = x[:i] + (v, u) + x[i + 2:]
                 ok = target[i] > target[i + 1] or below.get(y)
                 if ok is None:
                     ok = below[y] = length < p.length and perms._bruhat_leq_images(y, target, 1)
-                if ok:
-                    moves.append(((y, length + 1, excess),
-                                  {code + piece: m for code, m in counts.items()}))
-            for key, more in moves:  # a new key adopts its map
-                into = merged.setdefault(key, more)
-                if into is not more:
-                    for code, m in more.items():
-                        into[code] = into.get(code, 0) + m
+                if not ok:
+                    continue
+                key = (y, length + 1, excess)
+                more = {code + piece: m for code, m in counts.items()}
+            into = merged.setdefault(key, more)
+            if into is not more:
+                for code, m in more.items():
+                    into[code] = into.get(code, 0) + m
         states = merged
     # one final state per excess, whose codes never meet
     return {code: m for (x, _, _), counts in states.items() if x == target
@@ -283,21 +288,43 @@ def all_pipe_dreams(p: Permutation, n: int | None = None,
                      for code in codes)
 
 
+def weight_terms(p: Permutation,
+                 max_excess: int | None = None) -> dict[tuple[tuple[int, int], ...], int]:
+    """{x^weight: (-1)^excess * count} over all_pipe_dreams(p, max_excess=...),
+    x^weight as the sorted (row, crosses) pairs of its non-zero rows, each
+    decoded once from _search's base-n code (no row holds n crosses).  No two
+    codes meet: a state fixes the length, so a weight there fixes the excess.
+
+    >>> sorted(weight_terms(perms.parse_permutation("[132]")).items())
+    [(((1, 1),), 1), (((1, 1), (2, 1)), -1), (((2, 1),), 1)]
+    """
+    n = ambient_size(p)
+    codes = _search(p, n, max_excess, [n ** (r - 1) for r, _ in staircase_cells(n)])
+    terms = {}
+    for code, count in codes.items():
+        mono = []
+        row = 1
+        while code:
+            code, crosses = divmod(code, n)
+            if crosses:
+                mono.append((row, crosses))
+            row += 1
+        terms[tuple(mono)] = count
+    return terms
+
+
 def weight_counts(p: Permutation, max_excess: int | None = None) -> dict[tuple[int, ...], int]:
     """{weight: (-1)^excess * count} over all_pipe_dreams(p, max_excess=...),
-    listing no dream: _search codes a weight by its base-n digits, as no row
-    holds n crosses.
+    read off weight_terms: no dream is listed.
 
     >>> sorted(weight_counts(perms.parse_permutation("[132]")).items())
     [((0, 1), 1), ((1,), 1), ((1, 1), -1)]
     """
-    n = ambient_size(p)
-
-    def weight(code: int) -> tuple[int, ...]:
-        return (code % n,) + weight(code // n) if code else ()
-
-    codes = _search(p, n, max_excess, [n ** (r - 1) for r, _ in staircase_cells(n)])
-    return {weight(code): count for code, count in codes.items()}
+    out = {}
+    for mono, count in weight_terms(p, max_excess).items():
+        crosses = dict(mono)
+        out[tuple(crosses.get(r, 0) for r in range(1, max(crosses, default=0) + 1))] = count
+    return out
 
 
 def is_quasi_yamanouchi(dream: PipeDream) -> bool:
@@ -339,22 +366,29 @@ def quasi_yamanouchi_for_word(word: Word) -> PipeDream | None:
 
 
 def _top_rows_dream(word: Word) -> PipeDream | None:
-    """The pipe dream reading word whose rows are the componentwise greatest
-    compatible sequence, or None when that sequence leaves the positive rows.
+    """The pipe dream reading word whose rows are _top_rows(word), or None."""
+    rows = _top_rows(word)
+    return None if rows is None else PipeDream._trusted(
+        max(word, default=0) + 1, frozenset((r, a - r + 1) for r, a in zip(rows, reversed(word))))
+
+
+def _top_rows(word: Word) -> list[int] | None:
+    """The componentwise greatest compatible sequence of the word, listed from
+    the right, or None when it leaves the positive rows.
 
     Built from the right: i_l = a_l and i_k = min(a_k, i_{k+1} - [a_k <= a_{k+1}]).
     Each row then ends in column 1 or weakly left of the next row's rightmost
     cross, unless it ends on the letter that starts the next row, which a
-    reduced word never repeats: so on reduced words the dream is the word's
-    quasi-Yamanouchi pipe dream (Assaf-Searles, 2017).
+    reduced word never repeats: so on reduced words these are the rows of the
+    word's quasi-Yamanouchi pipe dream (Assaf-Searles, 2017).
     """
-    n = row = after = max(word, default=0) + 1
-    crosses = []
+    row = after = max(word, default=0) + 1
+    rows = []
     for a in reversed(word):
         row = min(a, row - (a <= after))
-        crosses.append((row, a - row + 1))
+        rows.append(row)
         after = a
-    return PipeDream._trusted(n, frozenset(crosses)) if row >= 1 else None
+    return rows if row >= 1 else None
 
 
 def render_ascii(dream: PipeDream) -> str:

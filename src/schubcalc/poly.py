@@ -31,6 +31,14 @@ class Polynomial:
                     self.terms[mono] = coeff
 
     @staticmethod
+    def _trusted(terms: dict[Monomial, int]) -> "Polynomial":
+        """A polynomial owning a fresh dict known to hold sorted monomials and
+        non-zero coefficients, unchecked."""
+        poly = object.__new__(Polynomial)
+        poly.terms = terms
+        return poly
+
+    @staticmethod
     def zero() -> "Polynomial":
         return Polynomial()
 
@@ -215,19 +223,21 @@ def from_tableau_contents(tableaux: Iterable[shapes.Tableau]) -> Polynomial:
 
 def schubert(p: Permutation) -> Polynomial:
     """Sum of x^weight over the reduced pipe dreams for p, counted by the
-    merged-state pass pipedreams.weight_counts (Fomin-Kirillov, 1996).
+    merged-state pass (Fomin-Kirillov, 1996), each weight's code decoded
+    straight into its monomial: no two codes meet, so no term cancels.
 
     >>> str(schubert(perms.parse_permutation("[321]")))
     'x_1^2 x_2'
     """
-    return from_weights(pipedreams.weight_counts(p, max_excess=0).items())
+    return Polynomial._trusted(pipedreams.weight_terms(p, max_excess=0))
 
 
 def grothendieck(p: Permutation) -> Polynomial:
     """Signed sum of x^weight over all pipe dreams for p, the sign being
-    (-1)^excess, by the merged-state pass weight_counts (Fomin-Kirillov, 1994).
+    (-1)^excess, as for schubert (Fomin-Kirillov, 1994): a state of the pass
+    fixes the length, so a weight there fixes the excess and no term cancels.
     """
-    return from_weights(pipedreams.weight_counts(p).items())
+    return Polynomial._trusted(pipedreams.weight_terms(p))
 
 
 def schur(shape: Shape, n: int) -> Polynomial:
@@ -237,7 +247,7 @@ def schur(shape: Shape, n: int) -> Polynomial:
 
 def fundamental_quasisymmetric(shape: Shape, n: int) -> Polynomial:
     """Generating polynomial of composition tableaux with entries up to n."""
-    return Polynomial(dict(_tableau_terms("ct", tuple(shape), n)))
+    return Polynomial._trusted(dict(_tableau_terms("ct", tuple(shape), n)))
 
 
 def slide(shape: Shape) -> Polynomial:
@@ -246,7 +256,7 @@ def slide(shape: Shape) -> Polynomial:
     The row caps bound every entry by its row index, so no variable beyond
     x_len(shape) can occur and the polynomial needs no truncation parameter.
     """
-    return Polynomial(dict(_tableau_terms("wct", tuple(shape), len(shape))))
+    return Polynomial._trusted(dict(_tableau_terms("wct", tuple(shape), len(shape))))
 
 
 @perms._memo
@@ -269,7 +279,7 @@ def glide(shape: Shape) -> Polynomial:
     """Signed generating polynomial of set-valued weak composition tableaux,
     each weighted by (-1)^(entries beyond one per box).
     """
-    return Polynomial(dict(_glide_terms(tuple(shape))))
+    return Polynomial._trusted(dict(_glide_terms(tuple(shape))))
 
 
 @perms._memo
@@ -309,8 +319,16 @@ def backstable_truncation(p: Permutation, lowest_index: int) -> Polynomial:
 
 
 def expand_schubert_into_slides(p: Permutation) -> dict[Word, Polynomial]:
-    """Slide polynomial of each reduced word; the values sum to schubert(p)."""
-    return {word: slide_of_word(word) for word in perms.reduced_words(p)}
+    """Slide polynomial of each reduced word; the values sum to schubert(p).
+    Each weight is read off the word's greatest compatible rows, as in
+    slide_of_word, with no check: the words are reduced.
+    """
+    pipedreams.ambient_size(p)  # as schubert, raises for a p moving a point below 1
+    out = {}
+    for word in perms.reduced_words(p):
+        rows = pipedreams._top_rows(word)
+        out[word] = Polynomial.zero() if rows is None else slide(shapes._tally(rows))
+    return out
 
 
 def expand_schur_into_fundamentals(shape: Shape, n: int) -> dict[shapes.Tableau, Polynomial]:

@@ -393,6 +393,8 @@ def classify_set_valued(svt: SetValuedTableau, family: str, n: int) -> str:
     """
     if any(not box for row in svt for box in row):
         raise ValueError("every box of a set-valued tableau must be non-empty")
+    if family in ("ssyt", "ct", "wct") and _every_selection_fits(svt, family, n):
+        return "set-valued"
     saw_member = False
     saw_outsider = False
     for t in selections(svt):
@@ -405,6 +407,31 @@ def classify_set_valued(svt: SetValuedTableau, family: str, n: int) -> str:
     if saw_member:
         return "set-valued"
     return "neither"
+
+
+def _every_selection_fits(svt: SetValuedTableau, family: str, n: int) -> bool:
+    """Whether every selection of svt (boxes non-empty) is an ssyt, ct or wct
+    tableau with entries at most n.  Each condition caps one box or orders two,
+    and a selection picks each box's entry on its own, so the conditions are
+    read off the extremes: a box's largest entry against the next box's least.
+    """
+    lows = [[min(box) for box in row] for row in svt]
+    highs = [[max(box) for box in row] for row in svt]
+    if any(low and (min(low) < 1 or max(high) > n) for low, high in zip(lows, highs)):
+        return False
+    if any(high[c] > low[c + 1] for low, high in zip(lows, highs) for c in range(len(low) - 1)):
+        return False
+    if family == "ssyt":
+        return (is_partition(shape_of(svt))
+                and all(highs[r][c] < lows[r + 1][c]
+                        for r in range(len(svt) - 1) for c in range(len(svt[r + 1]))))
+    previous_max = 0
+    for r, (low, high) in enumerate(zip(lows, highs), start=1):
+        if low:
+            if low[0] <= previous_max or family == "wct" and high[-1] > r:
+                return False
+            previous_max = high[-1]
+    return True
 
 
 def enumerate_set_valued_wct(shape: Shape) -> tuple[SetValuedTableau, ...]:

@@ -309,3 +309,11 @@ def test_thousand_box_shape_has_its_one_tableau(capsys, argv, out):
     code, stdout, err = run(capsys, *argv)
     assert code == 0 and not err
     assert stdout.strip() == out
+
+
+@pytest.mark.parametrize("rule", ["schubert-slides", "groth-glides"])
+def test_expand_outside_positive_support_exits_1(capsys, rule):
+    """A permutation moving 0 has no pipe dream: one line on stderr, exit 1."""
+    code, out, err = run(capsys, "expand", rule, "[1,0]@0")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "positive integers" in err

@@ -492,3 +492,51 @@ def test_sum_matches_plus_fold():
         assert not Polynomial.sum(summands + [-f for f in summands]).terms
     assert Polynomial.sum([]) == Polynomial.zero()
     assert Polynomial.sum([mono({1: 1}), mono({1: 1}, -1)]).terms == {}
+
+
+def _differential_sample():
+    """All of S1-S5 and a seeded sample of S6 and S7, of length at most 10
+    so that the reduced words stay few (w0 of S7 has 1.1e9)."""
+    rng = random.Random(1996)
+    sample = [p for m in range(1, 6) for p in symmetric_group(m)]
+    for m in (6, 7):
+        sample += rng.sample([p for p in symmetric_group(m) if p.length <= 10], 20)
+    return sample
+
+
+def _assert_normal(result):
+    """Same terms as a checked copy, sorted monomials, no zero coefficient."""
+    assert result.terms == Polynomial(result.terms).terms
+    for mono, coeff in result.terms.items():
+        assert [i for i, _ in mono] == sorted({i for i, _ in mono}) and coeff
+        assert all(e > 0 for _, e in mono)
+
+
+def test_families_built_from_codes_match_the_weight_counts():
+    """schubert and grothendieck, decoded straight from the search's codes,
+    equal the polynomials folded from weight_counts; the slide expansion
+    reads every word's weight as slide_of_word does."""
+    for p in _differential_sample():
+        for family, max_excess in ((schubert, 0), (grothendieck, None)):
+            result = family(p)
+            _assert_normal(result)
+            counts = pipedreams.weight_counts(p, max_excess=max_excess)
+            assert result == poly.from_weights(counts.items()), (str(p), family)
+        for word, value in expand_schubert_into_slides(p).items():
+            _assert_normal(value)
+            assert value == slide_of_word(word), (str(p), word)
+    for shape in [(), (1,), (0, 2, 1), (2, 0, 1), (1, 2)]:
+        for family, args in ((slide, (shape,)), (glide, (shape,)),
+                             (fundamental_quasisymmetric, (shapes.flatten(shape), 3))):
+            _assert_normal(family(*args))
+            assert family(*args).terms is not family(*args).terms  # each call owns its dict
+
+
+def test_expand_schubert_into_slides_outside_positive_support():
+    """As schubert, the slide expansion has no value for a permutation
+    moving a point below 1, and says so before listing any word."""
+    for text in ("[1,0]@0", "[2,1,0]@0", "[0,-1]@-1"):
+        p = parse_permutation(text)
+        for call in (schubert, expand_schubert_into_slides):
+            with pytest.raises(ValueError, match="positive integers"):
+                call(p)

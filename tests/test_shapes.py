@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -262,3 +263,27 @@ def test_json_roundtrips():
     assert shapes.tableau_from_json(shapes.tableau_to_json(t)) == t
     svt = ((frozenset({1, 2}),), (frozenset({3}),))
     assert shapes.set_valued_from_json(shapes.set_valued_to_json(svt)) == svt
+
+
+def _random_set_valued(rng, n):
+    """A random set-valued filling with entries in 0..n+1, rows possibly
+    empty, on a shape that need not be a partition."""
+    shape = [rng.randint(0, 3) for _ in range(rng.randint(0, 3))]
+    return tuple(tuple(frozenset(rng.sample(range(0, n + 2), rng.randint(1, 2)))
+                       for _ in range(width)) for width in shape)
+
+
+@pytest.mark.parametrize("family", ["ssyt", "ct", "wct"])
+def test_every_selection_fits_matches_the_selections(family):
+    """The box-extreme predicate agrees with testing every selection, on
+    empty rows, entries 0 and n + 1, and non-partition shapes."""
+    rng = random.Random(2017)
+    edge_cases = [(), ((),), ((), (frozenset({1}),)), ((frozenset({2}),), ()),
+                  ((frozenset({0, 1}),),), ((frozenset({1}), frozenset({1})), (frozenset({2, 3}),)),
+                  ((frozenset({1}),), (frozenset({1, 2}), frozenset({3})))]
+    for n in (1, 2, 3, 4):
+        samples = edge_cases + [_random_set_valued(rng, n) for _ in range(1500)]
+        for svt in samples:
+            expected = all(shapes.is_family_tableau(t, family, n) for t in selections(svt))
+            assert shapes._every_selection_fits(svt, family, n) == expected, (svt, n)
+            assert (classify_set_valued(svt, family, n) == "set-valued") == expected, (svt, n)
