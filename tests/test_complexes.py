@@ -604,6 +604,38 @@ def test_table_decoder_matches_binary_digits():
                 face_by_binary_digits(order, m): m for m in keyed}
 
 
+def _submask_union(masks):
+    return {s for m in masks for s in range(m + 1) if s & m == s}
+
+
+def test_closure_is_the_submask_union():
+    """`_closure` walks only the submasks that hold every bit whose removal
+    gives a listed mask; it must still list every submask of every mask in
+    any container, with duplicates, nested masks and 0, and where the
+    sorted order is no shelling (two triangles on one vertex, two disjoint
+    edges), and on seeded random mask sets over up to 10 bits."""
+    cases = [[0b111, 0b11100], [0b11, 0b1100], [0b1011, 0b1011, 0b11, 0b1],
+             [0], [0, 0b101], [0b110, 0b111000, 0b1], []]
+    rng = random.Random(18)
+    cases += [[rng.getrandbits(rng.randint(0, 10)) for _ in range(rng.randint(0, 8))]
+              for _ in range(300)]
+    for masks in cases:
+        expected = _submask_union(masks)
+        for given in (list(masks), tuple(masks), frozenset(masks), reversed(masks),
+                      (m for m in masks)):
+            assert complexes._closure(given) == expected, masks
+    assert complexes._closure([]) == set()
+
+
+def test_boundary_faces_match_combinations_on_q6_sample():
+    """Delta(Q_6, p) has 15 vertices, so its boundary masks decode through
+    the table and the high bits; a seeded sample of S6."""
+    q = pipedreams.triangular_word(6)
+    for p in random.Random(21).sample(list(perms.symmetric_group(6)), 10):
+        complex_ = subword_complex(q, p)
+        assert boundary_faces(complex_) == boundary_faces_by_combinations(complex_), p
+
+
 def test_cached_classification_is_order_free():
     """classify_ball_or_sphere, boundary_faces and is_vertex_decomposable
     share one cached classification: called in each of the six orders on a
