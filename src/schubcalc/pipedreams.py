@@ -313,20 +313,6 @@ def weight_terms(p: Permutation,
     return terms
 
 
-def weight_counts(p: Permutation, max_excess: int | None = None) -> dict[tuple[int, ...], int]:
-    """{weight: (-1)^excess * count} over all_pipe_dreams(p, max_excess=...),
-    read off weight_terms: no dream is listed.
-
-    >>> sorted(weight_counts(perms.parse_permutation("[132]")).items())
-    [((0, 1), 1), ((1,), 1), ((1, 1), -1)]
-    """
-    out = {}
-    for mono, count in weight_terms(p, max_excess).items():
-        crosses = dict(mono)
-        out[tuple(crosses.get(r, 0) for r in range(1, max(crosses, default=0) + 1))] = count
-    return out
-
-
 def is_quasi_yamanouchi(dream: PipeDream) -> bool:
     """Every non-empty row's leftmost cross sits in column 1 or weakly left
     of some cross in the row below.

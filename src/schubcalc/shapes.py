@@ -147,43 +147,16 @@ def content(tableau: Tableau) -> Shape:
     return _tally([v for row in tableau for v in row])
 
 
-def _rows_weakly_increasing(tableau: Tableau) -> bool:
-    return all(row[i] <= row[i + 1] for row in tableau for i in range(len(row) - 1))
-
-
 def is_family_tableau(tableau: Tableau, family: str, n: int) -> bool:
-    """Membership test for one of the four families with largest entry n."""
+    """Membership test for one of the four families with largest entry n:
+    the tableau is its own lows and highs, and syt is ssyt whose entries are
+    1, 2, ..., |shape|."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    shape = shape_of(tableau)
-    entries = [v for row in tableau for v in row]
-    if any(not 1 <= v <= n for v in entries):
-        return False
-    if family in ("syt", "ssyt"):
-        if not is_partition(shape) and shape:
-            return False
-        if not _rows_weakly_increasing(tableau):
-            return False
-        for r in range(len(tableau) - 1):
-            for c in range(len(tableau[r + 1])):
-                if tableau[r][c] >= tableau[r + 1][c]:
-                    return False
-        if family == "syt":
-            return sorted(entries) == list(range(1, len(entries) + 1))
-        return True
-    # ct / wct: rows weakly increase and whole rows are strictly separated.
-    if not _rows_weakly_increasing(tableau):
-        return False
-    previous_max: int | None = None
-    for r, row in enumerate(tableau, start=1):
-        if not row:
-            continue
-        if previous_max is not None and row[0] <= previous_max:
-            return False
-        if family == "wct" and row[-1] > r:
-            return False
-        previous_max = row[-1]
-    return True
+    if family != "syt":
+        return _fits(tableau, tableau, family, n)
+    entries = sorted(v for row in tableau for v in row)
+    return _fits(tableau, tableau, "ssyt", n) and entries == list(range(1, len(entries) + 1))
 
 
 def enumerate_tableaux(family: str, shape: Shape, n: int) -> tuple[Tableau, ...]:
@@ -415,16 +388,22 @@ def _every_selection_fits(svt: SetValuedTableau, family: str, n: int) -> bool:
     and a selection picks each box's entry on its own, so the conditions are
     read off the extremes: a box's largest entry against the next box's least.
     """
-    lows = [[min(box) for box in row] for row in svt]
-    highs = [[max(box) for box in row] for row in svt]
+    return _fits([[min(box) for box in row] for row in svt],
+                 [[max(box) for box in row] for row in svt], family, n)
+
+
+def _fits(lows: Sequence[Sequence[int]], highs: Sequence[Sequence[int]], family: str, n: int) -> bool:
+    """The ssyt, ct or wct conditions with entries in 1..n, written once over
+    per-box bounds: every box holds some entry between its low and its high,
+    and every choice of those entries is in the family."""
     if any(low and (min(low) < 1 or max(high) > n) for low, high in zip(lows, highs)):
         return False
     if any(high[c] > low[c + 1] for low, high in zip(lows, highs) for c in range(len(low) - 1)):
         return False
     if family == "ssyt":
-        return (is_partition(shape_of(svt))
+        return (is_partition(shape_of(lows))
                 and all(highs[r][c] < lows[r + 1][c]
-                        for r in range(len(svt) - 1) for c in range(len(svt[r + 1]))))
+                        for r in range(len(lows) - 1) for c in range(len(lows[r + 1]))))
     previous_max = 0
     for r, (low, high) in enumerate(zip(lows, highs), start=1):
         if low:

@@ -9,11 +9,15 @@ code they check:
   isobaric divided differences (Lascoux-Schuetzenberger; Fomin-Kirillov
   1994), never looking at a pipe dream, to all of S_n, and
   `grothendieck_by_divided_differences_at` down one chain to one p;
-- `schubert_from_words` sums over reduced words and compatible sequences,
-  and `glide_from_kompositions` over glide kompositions, found by filtering
-  every candidate in `glide_kompositions`, against the pipe dream and
-  tableau routes in `poly`; `compositions_weak` lists the weak compositions
-  of a given size;
+- `schubert_from_words` sums over reduced words and compatible sequences
+  at or above a lowest index, against `poly.schubert` and the shifted
+  search of `poly.backstable_truncation`, and `glide_from_kompositions`
+  over glide kompositions, found by filtering every candidate in
+  `glide_kompositions`, against the pipe dream and tableau routes in
+  `poly`; `compositions_weak` lists the weak compositions of a given size;
+- `is_family_tableau_by_rules` writes each tableau family's rules out on
+  its own, against the one bound checker behind `shapes.is_family_tableau`
+  and `shapes._every_selection_fits`;
 - `vertex_decomposition_by_deletion_link` walks deletions and links with no
   memo, against the memoised search in `complexes`;
 - `face_by_binary_digits` reads a mask's binary digits, one per vertex,
@@ -67,7 +71,7 @@ from schubcalc.pipedreams import (
     ladder_moves,
     staircase_cells,
 )
-from schubcalc.poly import Polynomial, from_exponent_word, from_weak_composition, glide
+from schubcalc.poly import Polynomial, from_weak_composition, glide
 
 
 def scan_pipe_dreams(n):
@@ -176,13 +180,50 @@ def grothendieck_by_divided_differences_at(p, n):
     return g
 
 
-def schubert_from_words(p):
-    """Schubert polynomial via reduced words and their compatible sequences."""
-    total = Polynomial.zero()
-    for word in perms.reduced_words(p):
-        for seq in perms.compatible_sequences(word, lower_bound=1):
-            total = total + from_exponent_word(seq)
-    return total
+def from_exponent_word(seq):
+    """The product of x_j over the entries j of a sequence."""
+    return Polynomial.monomial(Counter(seq))
+
+
+def schubert_from_words(p, lowest_index=1):
+    """Schubert polynomial via reduced words and their compatible sequences
+    with every entry at least lowest_index: below 1, the truncation of the
+    back-stable series that keeps x_lowest_index and beyond."""
+    return Polynomial.sum(from_exponent_word(seq) for word in perms.reduced_words(p)
+                          for seq in perms.compatible_sequences(word, lower_bound=lowest_index))
+
+
+def is_family_tableau_by_rules(tableau, family, n):
+    """Membership in one of the four tableau families, each family's rules
+    written out on its own: rows, columns and the syt entry set for syt and
+    ssyt, rows and whole-row separation (with the row cap for wct) for ct and
+    wct."""
+    shape = shapes.shape_of(tableau)
+    entries = [v for row in tableau for v in row]
+    if any(not 1 <= v <= n for v in entries):
+        return False
+    if not all(row[i] <= row[i + 1] for row in tableau for i in range(len(row) - 1)):
+        return False
+    if family in ("syt", "ssyt"):
+        if not shapes.is_partition(shape):
+            return False
+        for r in range(len(tableau) - 1):
+            for c in range(len(tableau[r + 1])):
+                if tableau[r][c] >= tableau[r + 1][c]:
+                    return False
+        if family == "syt":
+            return sorted(entries) == list(range(1, len(entries) + 1))
+        return True
+    previous_max = None
+    for r, row in enumerate(tableau, start=1):
+        if not row:
+            continue
+        if previous_max is not None and row[0] <= previous_max:
+            return False
+        if family == "wct" and row[-1] > r:
+            return False
+        previous_max = row[-1]
+    return True
 
 
 def glide_from_kompositions(shape):
