@@ -44,11 +44,13 @@ class Record:
     """An immutable value record.
 
     A subclass names its fields in `_fields`, in constructor order; its
-    `__init__` checks its arguments and stores each field with `_set`.  It
-    writes its own `__eq__` (true only within its class) and `__hash__` over
-    the fields, since generic ones over `_fields` measured 1.5 to 5 times
-    slower.  Records print as `Name(field=value, ...)`, pickle and copy
-    through their constructor, and reject assignment.
+    `__init__` checks its arguments and stores each field with `_set`.
+    Records are equal within one class when their fields are, hash as their
+    field tuple, print as `Name(field=value, ...)`, pickle and copy through
+    their constructor, and reject assignment.  This `__eq__` and `__hash__`
+    measured 1.5 to 5 times slower than written-out ones, so `Permutation`
+    (a precomputed hash: it keys every memo) and `PipeDream` (hashed by
+    every `all_pipe_dreams` frozenset) keep their own.
     """
 
     __slots__ = ()
@@ -60,8 +62,19 @@ class Record:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+        return self.__class__, self._values()
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

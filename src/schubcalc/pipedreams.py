@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import compress
 
-from . import perms
+from . import perms, shapes
 from .perms import Permutation, Record, Word, _set
 
 
@@ -85,11 +85,7 @@ class PipeDream(Record):
 
     def weight(self) -> tuple[int, ...]:
         """Crosses per row, as a weak composition."""
-        top = max((r for (r, _) in self.crosses), default=0)
-        counts = [0] * top
-        for (r, _) in self.crosses:
-            counts[r - 1] += 1
-        return tuple(counts)
+        return shapes._tally([r for (r, _) in self.crosses])
 
     def transpose(self) -> "PipeDream":
         return PipeDream(self.n, frozenset((c, r) for (r, c) in self.crosses))

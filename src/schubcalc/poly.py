@@ -83,6 +83,8 @@ class Polynomial:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
+        if self.terms.keys() <= {()}:  # a constant hashes as the int it equals
+            return hash(self.terms.get((), 0))
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "Polynomial | int") -> "Polynomial":

@@ -302,14 +302,6 @@ class Komposition(Record):
         _set(self, "parts", parts)
         _set(self, "bold", bold)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts and self.bold == other.bold
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts, self.bold))
-
     @property
     def excess(self) -> int:
         return len(self.bold)

@@ -74,14 +74,6 @@ class MarkedWord(Record):
         _set(marked, "marks", marks)
         return marked
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.slots == other.slots and self.marks == other.marks
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.slots, self.marks))
-
     def word_and_positions(self) -> tuple[Word, tuple[int, ...]]:
         """Finite letters in order, plus the 1-based INF positions."""
         word, positions = [], []
@@ -188,6 +180,14 @@ def _carry_right(letters: Sequence, labels: list[int], lo: int, start: int, stop
         labels[a], labels[a + 1] = labels[a + 1], labels[a]
 
 
+def _label_note(slots: list, column: int, i: int, skip: Container[int] = frozenset()) -> str:
+    """The note of a column's labels, at heights min - 1 .. max + 2 of the letters and i."""
+    finite = [int(a) for a in slots if a != INF] + [i]
+    lo, hi = min(finite) - 1, max(finite) + 2
+    labels = perms.wiring_sweep(slots, column, skip, range(lo, hi + 1))[0]
+    return f" ; labels(col {column}, h={lo}..{hi}) = {labels}"
+
+
 # ---------------------------------------------------------------------------
 # Monk insertion
 
@@ -217,12 +217,9 @@ def monk_shuffle(i: int, word: Sequence[int], position: int,
         if k >= top:
             top = k + 1
         if trace is not None:
-            finite = [int(a) for a in letters if a != INF] + [i]
-            low, high = min(finite) - 1, max(finite) + 2
-            shown = perms.wiring_sweep(letters, j, heights=range(low, high + 1))[0]
             trace.append(f"placed {k} at position {j}; word = "
                          + " ".join("oo" if a == INF else str(a) for a in letters)
-                         + f" ; labels(col {j}, h={low}..{high}) = {shown}")
+                         + _label_note(letters, j, i))
         # the rest of the word is reduced and its crosses right of j read
         # (low, high), so the wires a < b of the new cross can only meet
         # again to its left; the sweep stops there, at the next column
@@ -341,12 +338,7 @@ def _pieri_line(note: str, slots: list, marks: list, down: set[int], i: int,
     plus = sorted(x for x in flipped if (x > i) != column)
     minus = sorted(x for x in flipped if (x > i) == column)
     line += (f" + {plus}" if plus else "") + (f" - {minus}" if minus else "")
-    if at is not None:
-        finite = [int(a) for a in slots if a != INF] + [i]
-        lo, hi = min(finite) - 1, max(finite) + 2
-        labels = perms.wiring_sweep(slots, at, down, range(lo, hi + 1))[0]
-        line += f" ; labels(col {at}, h={lo}..{hi}) = {labels}"
-    return line
+    return line if at is None else line + _label_note(slots, at, i, down)
 
 
 def pieri_shuffle(i: int, word: Sequence[int] | MarkedWord,

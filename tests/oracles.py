@@ -22,6 +22,9 @@ code they check:
   memo, against the memoised search in `complexes`;
 - `face_by_binary_digits` reads a mask's binary digits, one per vertex,
   against the table decoder `complexes._faces`;
+- `from_facets_by_scan` keeps each given face that no other contains, by
+  frozenset inclusion, against the mask filter behind
+  `SimplicialComplex.from_facets`;
 - `faces_by_combinations`, `has_face_by_sets`, `deletion_by_sets`,
   `link_by_sets`, `ridge_facet_counts_by_sets`, `classify_by_sets` and
   `boundary_faces_by_combinations` build every face as a frozenset, and
@@ -363,6 +366,20 @@ def face_by_binary_digits(order, mask):
     return frozenset(itertools.compress(order, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
 
 
+def from_facets_by_scan(facets, vertices=None):
+    """The complex of the given faces that lie in no other one, on the given
+    vertices or else the sorted used ones."""
+    packed = frozenset(frozenset(f) for f in facets)
+    packed = frozenset(f for f in packed if not any(f < g for g in packed))
+    used = set().union(*packed)
+    if vertices is None:
+        return SimplicialComplex(tuple(sorted(used)), packed)
+    vertices = tuple(vertices)
+    if not used <= set(vertices):
+        raise ValueError("a facet has a vertex outside the vertex set")
+    return SimplicialComplex(vertices, packed)
+
+
 def faces_by_combinations(complex_):
     """Every subset of every facet, as a set of frozensets."""
     out = set()
@@ -385,14 +402,13 @@ def deletion_by_sets(complex_, face):
     if not probe:
         return complex_
     remaining = tuple(v for v in complex_.vertices if v not in probe)
-    return SimplicialComplex.from_facets({f - probe for f in complex_.facets}, remaining)
+    return from_facets_by_scan({f - probe for f in complex_.facets}, remaining)
 
 
 def link_by_sets(complex_, face):
     probe = frozenset(face)
     remaining = tuple(v for v in complex_.vertices if v not in probe)
-    return SimplicialComplex.from_facets(
-        [f - probe for f in complex_.facets if probe <= f], remaining)
+    return from_facets_by_scan([f - probe for f in complex_.facets if probe <= f], remaining)
 
 
 def ridge_facet_counts_by_sets(complex_):

@@ -29,6 +29,7 @@ from oracles import (
     deletion_by_sets,
     face_by_binary_digits,
     faces_by_combinations,
+    from_facets_by_scan,
     has_face_by_sets,
     link_by_sets,
     reduced_euler_characteristic_by_submasks,
@@ -572,6 +573,46 @@ def test_facets_must_lie_in_the_vertex_set():
     phantom = SimplicialComplex.from_facets([{1, 2}], vertices=[1, 2, 3])
     assert phantom.used_vertices() == (1, 2)
     assert stanley_reisner_generators(phantom) == facets({3})
+
+
+def _raw_facet_lists(seed, count):
+    """Seeded face lists on up to 9 vertices, with duplicates, nested faces
+    and, in every third list, a small face that nothing else contains; each
+    with or without a vertex set holding phantom vertices."""
+    rng = random.Random(seed)
+    for k in range(count):
+        used = list(range(1, rng.randint(1, 9) + 1))
+        raw = [frozenset(rng.sample(used, rng.randint(0, len(used))))
+               for _ in range(rng.randint(1, 8))]
+        raw += [raw[0], raw[-1] - {min(raw[-1], default=0)}]
+        if k % 3 == 0:
+            raw.append({100 + k})
+        vertices = None if k % 2 else sorted(set().union(*raw)) + [200, 201][:k % 3]
+        yield [sorted(f) for f in raw], vertices
+
+
+def test_from_facets_matches_the_inclusion_scan():
+    """The mask filter of from_facets keeps what the frozenset inclusion scan
+    keeps: seeded duplicate, nested and non-pure lists, the void complex,
+    {} and phantom vertices."""
+    cases = list(_raw_facet_lists(23, 300)) + [
+        ([], None), ([], [1, 2]), ([[]], None), ([[]], [3]), ([[1], [1, 2], [3]], [1, 2, 3, 4]),
+        ([[1, 2, 3], [4], [1, 2], [2, 3, 4], [4]], None),
+        ([[("a", 1)], [("a", 1), ("b", 2)], [("c", 3)]], None)]
+    for raw, vertices in cases:
+        got = SimplicialComplex.from_facets(raw, vertices)
+        assert got == from_facets_by_scan(raw, vertices), (raw, vertices)
+    assert SimplicialComplex.from_facets([]).is_void
+    assert SimplicialComplex.from_facets([[]]).facets == facets(set())
+    assert SimplicialComplex.from_facets([[1, 2], [3]], [4, 3, 2, 1]).vertices == (4, 3, 2, 1)
+    for raw, vertices in ([[{1, 2}, {2, 3}], [1, 2]], [[[1], [4, 1]], [4]], [[[5]], []]):
+        with pytest.raises(ValueError):
+            SimplicialComplex.from_facets(raw, vertices)
+        with pytest.raises(ValueError):
+            from_facets_by_scan(raw, vertices)
+    # the masks order the used vertices, so ones that do not sort fail here
+    with pytest.raises(TypeError):
+        SimplicialComplex.from_facets([[1, "a"]], vertices=[1, "a"])
 
 
 def test_table_decoder_matches_binary_digits():

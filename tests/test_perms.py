@@ -39,12 +39,6 @@ from oracles import (
 )
 
 
-def test_product_examples():
-    assert prod_word(parse_word("3212")) == parse_permutation("[4213]")
-    assert prod_word(()) == Permutation.identity()
-    assert prod_word((1, 1)) == Permutation.identity()
-
-
 def test_normalization_and_equality():
     assert Permutation.from_one_line((1, 2, 4, 3)) == Permutation.from_one_line((1, 2, 4, 3, 5))
     assert Permutation.from_one_line((1, 2, 3)) == Permutation.identity()

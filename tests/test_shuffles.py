@@ -73,20 +73,6 @@ def test_monk_bijection_s4():
             assert (p.length + 1) * len(words) == len(pool)
 
 
-def test_monk_counting_example():
-    covers = monk_rhs(parse_permutation("[321]"), 1)
-    counts = sorted(len(reduced_words(s)) for s in covers)
-    assert counts == [2, 3, 3]
-    assert sum(counts) == 8
-
-
-def test_monk_rhs_example_permutations():
-    targets = set(monk_rhs(parse_permutation("[321]"), 1))
-    assert targets == {parse_permutation("[4213]"),
-                       perms.tau(parse_permutation("[3412]"), -1),
-                       perms.tau(parse_permutation("[2431]"), -1)}
-
-
 def test_monk_back_stability():
     """Dropping the first letter commutes with the insertion."""
     for p in symmetric_group(3):
