@@ -18,12 +18,11 @@ labelling on the right.  Position p sits between columns p-1 and p, and the
 label wiring_label(w, c, h) is the label at height h in column c; it depends
 only on the letters strictly to the right of column c.  wiring_sweep gives a
 column's labels at every height, and the label pair of every cross, in one
-right-to-left pass.  That pass is sweep_span, which carries a label list
-from one column to another and can be stopped and resumed: a caller that
-rewrites the letter at position j sweeps positions len..j+1, reads column
-j, writes the letter and continues from j on the same list, since column j
-and the crosses right of it do not depend on that letter.  A slot holding
-INF holds no cross.
+right-to-left pass.  The shuffles make the same pass on a label list of
+their own and resume it after a step: a step that rewrites the letter at
+position j reads column j, writes the letter and sweeps on from j on the
+same list, since column j and the crosses right of it do not depend on
+that letter.  A slot holding INF holds no cross.
 """
 from __future__ import annotations
 
@@ -531,8 +530,8 @@ def _bruhat_leq_images(u: Sequence[int], v: Sequence[int], lo: int) -> bool:
 def wiring_sweep(word: Sequence, column: int = 0, skip: Container[int] = frozenset(),
                  heights: range = range(0)) -> tuple[list[int], list]:
     """One right-to-left pass over the wiring diagram of a word, from the
-    identity labelling in column len(word) down to the given column: one
-    sweep_span over a label list covering the heights and every letter.
+    identity labelling in column len(word) down to the given column, on a
+    label list covering the heights and every letter.
 
     Returns (labels, crosses).  labels[k] is the label at height heights[k]
     in the column (heights has step 1).  crosses[p - 1], for column < p <=
@@ -554,28 +553,7 @@ def wiring_sweep(word: Sequence, column: int = 0, skip: Container[int] = frozens
     lo, hi = min(ends, default=0), max(ends, default=0)
     labels = list(range(lo, hi + 1))
     crosses: list = [None] * len(word)
-    sweep_span(word, labels, lo, crosses, len(word), column, skip)
-    return labels[heights.start - lo:heights.stop - lo], crosses
-
-
-def sweep_span(word: Sequence, labels: list[int], lo: int, crosses: list,
-               start: int, stop: int = 0, skip: Container[int] = frozenset()) -> None:
-    """Carry the labels of column `start` across positions start, start-1,
-    ..., stop+1, leaving those of column `stop` in place, and write the pair
-    of each cross passed into crosses[p - 1].
-
-    labels[h - lo] is the label at height h; the list must cover every
-    height the swaps touch.  Skip and INF slots are as in wiring_sweep.
-
-    >>> labels, crosses = [1, 2, 3, 4], [None] * 4
-    >>> sweep_span((3, 2, 1, 2), labels, 1, crosses, 4, 2)
-    >>> labels, crosses
-    ([3, 1, 2, 4], [None, None, (1, 3), (2, 3)])
-    >>> sweep_span((3, 2, 1, 2), labels, 1, crosses, 2)
-    >>> labels, crosses
-    ([3, 2, 4, 1], [(1, 4), (1, 2), (1, 3), (2, 3)])
-    """
-    for p in range(start, stop, -1):
+    for p in range(len(word), column, -1):
         a = word[p - 1]
         if a == INF:
             crosses[p - 1] = (INF, INF)
@@ -585,6 +563,7 @@ def sweep_span(word: Sequence, labels: list[int], lo: int, crosses: list,
         crosses[p - 1] = (up, down)
         if p not in skip:
             labels[a], labels[a + 1] = down, up
+    return labels[heights.start - lo:heights.stop - lo], crosses
 
 
 def wiring_label(word: Sequence[int], column: int, height: int,

@@ -20,14 +20,15 @@ bookkeeping is exactly what enforces the distinctness constraints in the
 two product rules.  It is kept as the base side XOR a finite set of flipped
 labels; a run keeps that set and the marks as local state.
 
-Each run makes one label window and one sweep from the right to its first
-pending column j; a step picks the new letter at j from the labels of
-column j.  An insertion step sweeps on leftwards for the cross it bumps,
-keeping the labels of the next pending column (Monk's stops at the bump).
-An extraction step reads the old cross off the column, un-bumps by sweeping
-a copy down to the lowest pending cross, follows the raised cross's wires
-rightwards to its defect mate, and carries the column labels rightwards to
-the next up mark.
+Each run makes one label window and one sweep from the right to column 0,
+which checks the input.  An insertion run keeps the labels of its first
+pending column j on the way; a step picks the new letter at j from them
+and sweeps on leftwards for the cross it bumps, keeping the labels of the
+next pending column (Monk's stops at the bump).  An extraction run carries
+the labels rightwards to its first up mark; a step reads the old cross off
+the column, un-bumps by sweeping a copy down to the lowest pending cross,
+follows the raised cross's wires rightwards to its defect mate, and carries
+the column labels rightwards to the next up mark.
 
 The slot value INF compares above every integer and marks a column whose
 cross has not yet been placed; such slots are always down-marked.
@@ -180,6 +181,25 @@ def _carry_right(letters: Sequence, labels: list[int], lo: int, start: int, stop
         labels[a], labels[a + 1] = labels[a + 1], labels[a]
 
 
+def _column_labels(word: Word, labels: list[int], lo: int, column: int) -> list[int] | None:
+    """Carry the identity labels of the right end of a word down to column 0
+    and return those of `column`: a copy taken on the way, or the list itself
+    at column 0.  Return None when a cross finds its labels out of order; as
+    each cross that finds them in order adds one inversion, that happens when
+    the word is not reduced.  An INF slot swaps nothing, so a run passes its
+    finite letters, the column moved left by the INF slots left of it."""
+    kept = labels
+    for p in range(len(word), 0, -1):
+        if p == column:
+            kept = labels.copy()
+        a = word[p - 1] - lo
+        x, y = labels[a], labels[a + 1]
+        if x > y:
+            return None
+        labels[a], labels[a + 1] = y, x
+    return kept
+
+
 def _label_note(slots: list, column: int, i: int, skip: Container[int] = frozenset()) -> str:
     """The note of a column's labels, at heights min - 1 .. max + 2 of the letters and i."""
     finite = [int(a) for a in slots if a != INF] + [i]
@@ -202,13 +222,16 @@ def monk_shuffle(i: int, word: Sequence[int], position: int,
     '1232432'
     """
     word = tuple(word)
-    if not perms.is_reduced(word):
-        raise ValueError("monk insertion starts from a reduced word")
     if not 1 <= position <= len(word) + 1:
+        # a word that is not reduced says so before its bad position
+        if not perms.is_reduced(word):
+            raise ValueError("monk insertion starts from a reduced word")
         raise ValueError("insertion position out of range")
     letters: list = list(word[:position - 1]) + [INF] + list(word[position - 1:])
     lo, top, labels = _window(word, len(letters), i)
-    perms.sweep_span(letters, labels, lo, [None] * len(letters), len(letters), position)
+    labels = _column_labels(word, labels, lo, position - 1)
+    if labels is None:
+        raise ValueError("monk insertion starts from a reduced word")
     j = position
     while j:
         cur = letters[j - 1]
@@ -257,15 +280,9 @@ def monk_unshuffle(i: int, word: Sequence[int], source: Permutation,
     word = tuple(word)
     letters: list = list(word)
     lo, top, labels = _window(word, len(word), i)
-    # one sweep from the right to column 0: each cross raises the number of
-    # inversions of the labels by one exactly when it finds them in order,
-    # so the word is reduced when every cross does
-    for p in range(len(letters) - 1, -1, -1):
-        h = letters[p] - lo
-        x, y = labels[h], labels[h + 1]
-        if x > y:
-            raise ValueError("expected a reduced word")
-        labels[h], labels[h + 1] = y, x
+    labels = _column_labels(word, labels, lo, 0)
+    if labels is None:
+        raise ValueError("expected a reduced word")
     # word = sigma = source * t(a, b): a and b are the points the two move
     # differently.  Column 0 holds sigma^-1, so x is moved when
     # sigma^-1(source(x)) != x; inv lists sigma^-1 on start..end
@@ -358,7 +375,11 @@ def pieri_shuffle(i: int, word: Sequence[int] | MarkedWord,
         positions = positions or ()
         slots, marks = _padded(word, positions)
         base_word = tuple(word)
-    if not perms.is_reduced(base_word):
+    down = set(positions)
+    j = max(down, default=0)
+    lo, top, labels = _window(base_word, len(slots), i)
+    labels = _column_labels(base_word, labels, lo, j - len(down))
+    if labels is None:
         raise ValueError("the unmarked content must be a reduced word")
     # the column variant books "big" labels, consumed via lower labels; the
     # row variant "small" labels, consumed via upper labels.  So a cross
@@ -367,17 +388,12 @@ def pieri_shuffle(i: int, word: Sequence[int] | MarkedWord,
     if variant not in ("c", "r"):
         raise ValueError("variant must be 'c' (column) or 'r' (row)")
     column = variant == "c"
-    down = set(positions)
     up, flipped = set(), set()
     booked_at: dict[int, int] = {}  # up position -> the label it booked
     claims: dict[int, int] = {}  # bumped position -> the label it holds
     source = perms.prod_word(base_word) if validate else None
     if trace is not None:
         trace.append(_pieri_line("start", slots, marks, down, i, column, flipped))
-    if down:
-        j = max(down)
-        lo, top, labels = _window(base_word, len(slots), i)
-        perms.sweep_span(slots, labels, lo, [None] * len(slots), len(slots), j, down)
     while down:
         # labels: those of column j, where the next pending cross sits
         cur = slots[j - 1]
@@ -481,39 +497,54 @@ def pieri_unshuffle(i: int, word: Sequence[int], source: Permutation,
                     trace: list[str] | None = None) -> MarkedWord:
     """Inverse of pieri_shuffle: peel the inserted crosses back out of a
     reduced word, leaving INF slots at the insertion positions.  The source
-    permutation (whose rightmost subword seeds the marking) must be a Pieri
-    predecessor of the word's permutation.
+    must be a Pieri predecessor of the word's permutation; the run's first
+    sweep embeds its rightmost subword, which seeds the marking.
 
-    That is not checked here.  A word that is not reduced, or that does not
-    contain the source, raises ValueError, but any other source that is not
-    a Pieri predecessor can raise InvariantError or return a MarkedWord that
-    pieri_shuffle does not map back to the word.  Callers that cannot vouch
-    for the pair check it first with pieri_relation, as the CLI does.
+    That is not checked here.  The same sweep raises ValueError for a word
+    that is not reduced or does not contain the source, but any other source
+    that is not a Pieri predecessor can raise InvariantError or return a
+    MarkedWord that pieri_shuffle does not map back to the word.  Callers
+    that cannot vouch for the pair check pieri_relation first, as the CLI does.
     """
     word = tuple(word)
-    if not perms.is_reduced(word):
-        raise ValueError("expected a reduced word")
-    chosen = set(rightmost_subword(word, source))
+    slots, n = list(word), len(word)
+    lo, top, labels = _window(word, n, i)
+    # one sweep to column 0 checks the label order as _column_labels does
+    # and embeds the source greedily from the right, as rightmost_subword
+    # does, on its images over the label window; the crosses left out are
+    # up-marked, and the book reads their label pairs
+    images = list(source.one_line(lo, lo + len(labels) - 1))
+    marks: list = [None] * n
+    pairs: dict[int, tuple[int, int]] = {}
+    for p in range(n, 0, -1):
+        h = slots[p - 1] - lo
+        x, y = labels[h], labels[h + 1]
+        if x > y:
+            raise ValueError("expected a reduced word")
+        labels[h], labels[h + 1] = y, x
+        left, right = images[h], images[h + 1]
+        if left > right:
+            images[h], images[h + 1] = right, left
+        else:
+            marks[p - 1] = UP
+            pairs[p] = (x, y)
+    # the walk stays in the window: it empties the source when the images
+    # end sorted and the source's support lies in the window
+    if images != sorted(images) or source.window and not (
+            lo <= source.lo and source.lo + len(source.window) <= lo + len(labels)):
+        raise ValueError("ambient word does not contain the permutation")
     if variant not in ("c", "r"):
         raise ValueError("variant must be 'c' (column) or 'r' (row)")
     column = variant == "c"
-    slots, n = list(word), len(word)
-    marks: list = [None if p in chosen else UP for p in range(1, n + 1)]
-    up = {p for p in range(1, n + 1) if p not in chosen}
-    down, flipped = set(), set()
+    up, down, flipped = set(pairs), set(), set()
+    for pair in pairs.values():
+        x = pair[0 if column else 1]
+        if ((x > i) != (x in flipped)) != column:
+            flipped ^= {x}
     if up:
-        # up marks are consumed left to right, the down marks they leave
-        # all sit left of j, and no letter right of j has changed: the
-        # labels of column j swap at every cross right of it
+        # up marks are consumed left to right, leaving down marks behind
         j = min(up)
-        lo, top, labels = _window(word, n, i)
-        crosses: list = [None] * n
-        perms.sweep_span(slots, labels, lo, crosses, n, j)
-        crosses[j - 1] = (labels[slots[j - 1] - lo], labels[slots[j - 1] + 1 - lo])
-        for p in up:
-            x = crosses[p - 1][0 if column else 1]
-            if ((x > i) != (x in flipped)) != column:
-                flipped ^= {x}
+        _carry_right(slots, labels, lo, 0, j)
     if trace is not None:
         trace.append(_pieri_line("start", slots, marks, down, i, column, flipped))
     while up:

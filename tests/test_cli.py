@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,9 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schubcalc import cli, poly
-from schubcalc.perms import parse_permutation
+from schubcalc.perms import (Permutation, format_permutation, format_word, parse_permutation,
+                             reduced_words)
 from schubcalc.shuffles import InvariantError
 
 
@@ -317,3 +321,61 @@ def test_expand_outside_positive_support_exits_1(capsys, rule):
     code, out, err = run(capsys, "expand", rule, "[1,0]@0")
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and "positive integers" in err
+
+
+@st.composite
+def _small_permutation(draw):
+    """A permutation of at most 4 points, its window at -1..2."""
+    n, lo = draw(st.integers(1, 4)), draw(st.integers(-1, 2))
+    return Permutation.from_one_line(draw(st.permutations(range(lo, lo + n))), lo=lo)
+
+
+_SHUFFLE_NEEDS = {"monk": ("--word", "--pos"), "monk-inv": ("--word", "--perm"),
+                  "pieri": ("--word", "--pos"), "pieri-inv": ("--word", "--perm"),
+                  "verify": ("--perm",)}
+
+
+@st.composite
+def _shuffle_argv(draw):
+    """A `shuffle` command line: the options its action needs are there nine
+    times in ten, the others half the time; one value in ten is malformed."""
+    action = draw(st.sampled_from(sorted(_SHUFFLE_NEEDS)))
+    words = st.one_of(st.lists(st.integers(-2, 6), max_size=6),
+                      _small_permutation().flatmap(lambda p: st.sampled_from(reduced_words(p))))
+    options = {
+        "--i": (st.integers(-2, 6).map(str), ["x"]),
+        "--word": (words.map(format_word), ["1a", "1,,2", "oo"]),
+        "--pos": (st.lists(st.integers(-1, 9), min_size=1, max_size=3).map(
+            lambda ps: ",".join(map(str, ps))), ["", "x", "1,", "2;3"]),
+        "--perm": (_small_permutation().map(format_permutation), ["[11]", "4213", "[21]@x"]),
+        "--variant": (st.sampled_from(["c", "r"]), ["x"]),
+        "--k": (st.integers(-1, 3).map(str), ["x"]),
+        "--rule": (st.sampled_from(["monk", "pieri-c", "pieri-r"]), ["pieri"]),
+        "--format": (st.sampled_from(["text", "json"]), ["xml"]),
+    }
+    argv = ["shuffle", action]
+    # one in ten is a draw of 7 from 1..10: hypothesis favours the ends of a range
+    for flag, (good, bad) in options.items():
+        needed = flag in _SHUFFLE_NEEDS[action]
+        if (draw(st.integers(1, 10)) != 7) if needed else draw(st.booleans()):
+            value = draw(st.sampled_from(bad) if draw(st.integers(1, 10)) == 7 else good)
+            # flag=value: argparse reads a separate "-1,2" as an option
+            argv.append(f"{flag}={value}")
+    if draw(st.booleans()):
+        argv.append("--trace")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shuffle_argv())
+def test_shuffle_argv_fuzz(argv):
+    """Any shuffle command line exits 0, 1 (domain error) or 2 (usage error),
+    never 3 (internal error), and never prints a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -485,6 +485,50 @@ def test_entry_error_digest():
             assert padded == _repr_or_error(pieri_shuffle, i, w, pos, variant=variant), (w, pos)
 
 
+def test_entry_outcomes_match_public_routes():
+    """The four calls check their input on the run's own sweep.  On seeded
+    words (letters -3..8, reduced or not) against sources from S<=5 with
+    windows starting at -4..1, products of a subword, or transpositions far
+    from the word, each reducedness and containment error must come exactly
+    when is_reduced and rightmost_subword say so."""
+    rng = random.Random(24)
+    far = [Permutation.transposition(-30, 40), Permutation.transposition(20, 21),
+           Permutation.transposition(-40, -39), Permutation.transposition(3, 30),
+           Permutation(-12, (-11, -12))]
+    seen = {"not reduced": 0, "not contained": 0, "contained": 0}
+    for _ in range(2000):
+        letters = [rng.randrange(-3, 9) for _ in range(rng.randrange(10))]
+        while rng.random() < 0.5 and not perms.is_reduced(letters):
+            letters.pop()
+        w = tuple(letters)
+        reduced = perms.is_reduced(w)
+        roll = rng.random()
+        if roll < 0.4:
+            n, lo = rng.randrange(1, 6), rng.randrange(-4, 2)
+            q = Permutation.from_one_line(rng.sample(range(lo, lo + n), n), lo=lo)
+        elif roll < 0.8:
+            q = prod_word(tuple(a for a in w if rng.random() < 0.6))
+        else:
+            q = rng.choice(far)
+        i = rng.randrange(-2, 10)
+        variant = rng.choice("cr")
+        got = _repr_or_error(pieri_unshuffle, i, w, q, variant=variant)
+        if not reduced:
+            assert got == "ValueError: expected a reduced word", (w, q, i)
+            seen["not reduced"] += 1
+        else:
+            contained = not _repr_or_error(rightmost_subword, w, q).startswith("ValueError")
+            assert (got == "ValueError: ambient word does not contain the permutation") != contained
+            seen["contained" if contained else "not contained"] += 1
+        got = _repr_or_error(monk_shuffle, i, w, rng.randrange(1, len(w) + 2))
+        assert (got == "ValueError: monk insertion starts from a reduced word") != reduced
+        k = rng.randrange(4)
+        positions = tuple(sorted(rng.sample(range(1, len(w) + k + 1), k)))
+        got = _repr_or_error(pieri_shuffle, i, w, positions, variant=variant)
+        assert (got == "ValueError: the unmarked content must be a reduced word") != reduced
+    assert min(seen.values()) >= 300, seen
+
+
 # -- round trips on random reduced words in S6-S8 -----------------------------
 
 
