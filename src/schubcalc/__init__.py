@@ -93,7 +93,6 @@ from .shuffles import (
     monk_unshuffle,
     pieri_shuffle,
     pieri_unshuffle,
-    rightmost_subword,
     monk_covers,
     monk_rhs,
     cycle_factor,

@@ -249,21 +249,20 @@ def _parse_positions(text: str) -> tuple[int, ...]:
         raise ParseError(f"bad positions {text!r}", 0) from exc
 
 
-def _emit_shuffled(args, result, trace: list[str] | None) -> int:
+def _shuffle_insert(args) -> int:
+    """monk and pieri: insert at --pos; with --trace, the steps on stderr."""
+    positions = _parse_positions(_require(args, "pos", "--pos"))
+    monk = args.action == "monk"
+    if monk and len(positions) != 1:
+        raise ParseError("monk insertion takes one position", 0)
+    trace: list[str] | None = [] if args.trace else None
+    word = perms.parse_word(_require(args, "word", "--word"))
+    result = (shuffles.monk_shuffle(args.i, word, positions[0], trace=trace) if monk else
+              shuffles.pieri_shuffle(args.i, word, positions, variant=args.variant, trace=trace))
     if trace:
         print("\n".join(trace), file=sys.stderr)
     _emit(args, perms.format_word(result), list(result))
     return 0
-
-
-def _shuffle_monk(args) -> int:
-    positions = _parse_positions(_require(args, "pos", "--pos"))
-    if len(positions) != 1:
-        raise ParseError("monk insertion takes one position", 0)
-    trace: list[str] | None = [] if args.trace else None
-    result = shuffles.monk_shuffle(args.i, perms.parse_word(_require(args, "word", "--word")),
-                                   positions[0], trace=trace)
-    return _emit_shuffled(args, result, trace)
 
 
 def _shuffle_monk_inv(args) -> int:
@@ -273,14 +272,6 @@ def _shuffle_monk_inv(args) -> int:
     _emit(args, f"{perms.format_word(word)} @ {position}",
           {"word": list(word), "position": position})
     return 0
-
-
-def _shuffle_pieri(args) -> int:
-    positions = _parse_positions(_require(args, "pos", "--pos"))
-    trace: list[str] | None = [] if args.trace else None
-    result = shuffles.pieri_shuffle(args.i, perms.parse_word(_require(args, "word", "--word")),
-                                    positions, variant=args.variant, trace=trace)
-    return _emit_shuffled(args, result, trace)
 
 
 def _shuffle_pieri_inv(args) -> int:
@@ -317,6 +308,8 @@ def _shuffle_verify(args) -> int:
         shuffle = lambda w, pos: shuffles.monk_shuffle(i, w, pos[0], validate=True)
         terms = lambda: shuffles.monk_rhs(target, i)
     else:
+        if k < 1:
+            raise ValueError("need k >= 1")
         variant = args.rule.removeprefix("pieri-")
         label += f", k={k}"
         shuffle = lambda w, pos: shuffles.pieri_shuffle(i, w, pos, variant=variant, validate=True)
@@ -333,9 +326,9 @@ def _shuffle_verify(args) -> int:
 
 
 _SHUFFLE_ACTIONS = {
-    "monk": _shuffle_monk,
+    "monk": _shuffle_insert,
     "monk-inv": _shuffle_monk_inv,
-    "pieri": _shuffle_pieri,
+    "pieri": _shuffle_insert,
     "pieri-inv": _shuffle_pieri_inv,
     "verify": _shuffle_verify,
 }
@@ -353,49 +346,38 @@ def _cmd_selftest(args) -> int:
 # -- wiring --------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # --format may come before or after the subcommand; given in both places,
-    # the one after wins.  Each subparser has its own --format action that
-    # defaults to SUPPRESS, so a subcommand without one keeps the top-level
-    # value (default text) instead of writing a default over it.
-    formats = ("text", "json", "svg", "dot")
-    parser = argparse.ArgumentParser(prog="schubcalc")
-    parser.add_argument("--format", choices=formats, default="text")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--format", choices=formats, default=argparse.SUPPRESS)
-        return p
-
-    p = add_parser("perm", help="permutation and word operations")
+def _perm_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("action", choices=tuple(_PERM_ACTIONS))
     p.add_argument("perm", nargs="?", help="bracketed one-line notation")
     p.add_argument("--word", help="word argument for demazure")
     p.add_argument("--power", type=int, default=1)
     p.set_defaults(func=_cmd_perm)
 
-    p = add_parser("poly", help="polynomial families")
+
+def _poly_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("family", choices=tuple(_POLY_FAMILIES))
     p.add_argument("arg", help="permutation or comma-separated shape")
     p.add_argument("--vars", type=int, default=3, help="number of variables")
     p.add_argument("--lower-bound", type=int, default=1, dest="lower_bound")
     p.set_defaults(func=_cmd_poly)
 
-    p = add_parser("expand", help="expansion identities")
+
+def _expand_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("rule", choices=tuple(_EXPAND_RULES))
     p.add_argument("arg")
     p.add_argument("--vars", type=int, default=3)
     p.set_defaults(func=_cmd_expand)
 
-    p = add_parser("pipedreams", help="pipe dream enumeration and rendering")
+
+def _pipedreams_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("action", choices=tuple(_DREAM_POOLS))
     p.add_argument("perm")
     p.add_argument("--all", action="store_true", help="include non-reduced pipe dreams")
     p.add_argument("--max-excess", type=int, default=None, dest="max_excess")
     p.set_defaults(func=_cmd_pipedreams)
 
-    p = add_parser("complex", help="simplicial complexes")
+
+def _complex_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("kind", choices=("subword", "slide", "delta-w", "tableau",
                                     "classify", "decompose-ssyt", "sr-generators"))
     p.add_argument("--word", help="ambient word")
@@ -408,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classify", action="store_true")
     p.set_defaults(func=_cmd_complex)
 
-    p = add_parser("shuffle", help="Monk/Pieri insertion bijections")
+
+def _shuffle_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("action", choices=tuple(_SHUFFLE_ACTIONS))
     p.add_argument("--i", type=int, required=False, default=1)
     p.add_argument("--word", required=False)
@@ -420,14 +403,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=_cmd_shuffle)
 
-    p = add_parser("selftest", help="run the built-in verification corpus")
-    p.set_defaults(func=_cmd_selftest)
 
+# command -> (its help line, the function adding its arguments), in help order
+_COMMANDS = {
+    "perm": ("permutation and word operations", _perm_arguments),
+    "poly": ("polynomial families", _poly_arguments),
+    "expand": ("expansion identities", _expand_arguments),
+    "pipedreams": ("pipe dream enumeration and rendering", _pipedreams_arguments),
+    "complex": ("simplicial complexes", _complex_arguments),
+    "shuffle": ("Monk/Pieri insertion bijections", _shuffle_arguments),
+    "selftest": ("run the built-in verification corpus",
+                 lambda p: p.set_defaults(func=_cmd_selftest)),
+}
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of one command line.  Every command is registered with its
+    help line, which is all the top-level usage, help and errors print; only
+    the command that argv names gets its arguments and its -h, as the others
+    are never parsed.  That command is the first token naming one: before
+    it come top-level options only, and no value of --format names one."""
+    # --format may come before or after the subcommand; given in both places,
+    # the one after wins.  Each subparser has its own --format action that
+    # defaults to SUPPRESS, so a subcommand without one keeps the top-level
+    # value (default text) instead of writing a default over it.
+    formats = ("text", "json", "svg", "dot")
+    parser = argparse.ArgumentParser(prog="schubcalc")
+    parser.add_argument("--format", choices=formats, default="text")
+    sub = parser.add_subparsers(dest="command", required=True)
+    chosen = next((arg for arg in argv if arg in _COMMANDS), None)
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line, add_help=name == chosen)
+        if name == chosen:
+            p.add_argument("--format", choices=formats, default=argparse.SUPPRESS)
+            add_arguments(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = build_parser(sys.argv[1:] if argv is None else argv)
     try:
         try:
             args = parser.parse_args(argv)

@@ -391,7 +391,9 @@ def pieri_shuffle(i: int, word: Sequence[int] | MarkedWord,
     up, flipped = set(), set()
     booked_at: dict[int, int] = {}  # up position -> the label it booked
     claims: dict[int, int] = {}  # bumped position -> the label it holds
-    source = perms.prod_word(base_word) if validate else None
+    # the source's images over the window, for the check of each step
+    images = (list(perms.prod_word(base_word).one_line(lo, lo + len(labels) - 1))
+              if validate else None)
     if trace is not None:
         trace.append(_pieri_line("start", slots, marks, down, i, column, flipped))
     while down:
@@ -458,7 +460,7 @@ def pieri_shuffle(i: int, word: Sequence[int] | MarkedWord,
         if validate:
             if down and max(down) >= j:
                 raise InvariantError("pending marks must move left")
-            _check_unmarked_subword(slots, marks, down, up, column, source)
+            _check_unmarked_subword(slots, marks, down, up, column, lo, images)
         if nxt:
             j, labels = nxt, kept
     result = tuple(int(a) for a in slots)
@@ -468,28 +470,35 @@ def pieri_shuffle(i: int, word: Sequence[int] | MarkedWord,
 
 
 def _check_unmarked_subword(slots: list, marks: list, down: set[int], up: set[int],
-                            column: bool, source: Permutation) -> None:
-    """The unmarked subword, after cancelling each pending mark against
-    the up-marked cross claiming its held label, is the rightmost subword
-    for the original permutation inside the visible (non-pending) word.
-    """
-    crosses = perms.wiring_sweep(slots, skip=down)[1]
-    virtual = {p for p, m in enumerate(marks, start=1) if m is None}
-    ups = sorted(up)
-    for j in down:
-        if slots[j - 1] == INF:
+                            column: bool, lo: int, images: list[int]) -> None:
+    """The unmarked subword, after cancelling each pending mark against the
+    up-marked cross claiming its held label, is the rightmost subword for the
+    source in the visible (non-pending) word: one pass from the right, on
+    fresh labels and a copy of the source's images over the window from lo."""
+    labels, images = list(range(lo, lo + len(images))), images.copy()
+    unmarked = {p for p, m in enumerate(marks, start=1) if m is None}
+    chosen, held, claimer = set(), [], {}  # claimer: label -> leftmost up booking it
+    for p in range(len(slots), 0, -1):
+        a = slots[p - 1]
+        if a == INF:
             continue
-        held = crosses[j - 1][1 if column else 0]
-        for p in ups:
-            if crosses[p - 1][0 if column else 1] == held:
-                virtual.add(p)
-                break
-    visible = tuple(None if (p in down or a == INF) else a
-                    for p, a in enumerate(slots, start=1))
-    expected = rightmost_subword(visible, source)
-    if frozenset(virtual) != frozenset(expected):
-        raise InvariantError(f"unmarked subword {sorted(virtual)} "
-                             f"!= rightmost subword {sorted(expected)}")
+        h = a - lo
+        x, y = labels[h], labels[h + 1]
+        if p in up:
+            claimer[x if column else y] = p
+        if p in down:
+            held.append(y if column else x)
+            continue
+        labels[h], labels[h + 1] = y, x
+        if images[h] > images[h + 1]:
+            images[h], images[h + 1] = images[h + 1], images[h]
+            chosen.add(p)
+    if images != sorted(images):
+        raise ValueError("ambient word does not contain the permutation")
+    unmarked.update(claimer[x] for x in held if x in claimer)
+    if unmarked != chosen:
+        raise InvariantError(f"unmarked subword {sorted(unmarked)} "
+                             f"!= rightmost subword {sorted(chosen)}")
 
 
 def pieri_unshuffle(i: int, word: Sequence[int], source: Permutation,
@@ -510,8 +519,8 @@ def pieri_unshuffle(i: int, word: Sequence[int], source: Permutation,
     slots, n = list(word), len(word)
     lo, top, labels = _window(word, n, i)
     # one sweep to column 0 checks the label order as _column_labels does
-    # and embeds the source greedily from the right, as rightmost_subword
-    # does, on its images over the label window; the crosses left out are
+    # and embeds the source greedily from the right, its rightmost subword,
+    # on its images over the label window; the crosses left out are
     # up-marked, and the book reads their label pairs
     images = list(source.one_line(lo, lo + len(labels) - 1))
     marks: list = [None] * n
@@ -623,33 +632,7 @@ def pieri_unshuffle(i: int, word: Sequence[int], source: Permutation,
 
 
 # ---------------------------------------------------------------------------
-# rightmost subwords and the product-rule relations
-
-
-def rightmost_subword(ambient: Sequence, p: Permutation) -> tuple[int, ...]:
-    """Positions of the greedy right-to-left embedding of a reduced word for
-    p; entries of the ambient that are None (or INF) are unusable.
-
-    >>> rightmost_subword((3, 2, 1, 3, 2, 3), perms.parse_permutation("[1432]"))
-    (4, 5, 6)
-    """
-    usable = [(pos, int(a)) for pos, a in enumerate(ambient, start=1)
-              if a is not None and a != INF]
-    lo = min([p.lo] + [a for _, a in usable])
-    hi = max([p.lo + len(p.window) - 1] + [a + 1 for _, a in usable])
-    # images[x - lo] = remaining(x), remaining being p times the simple
-    # transpositions of the letters chosen so far
-    images = list(p.one_line(lo, hi))
-    chosen: list[int] = []
-    for pos, a in reversed(usable):
-        a -= lo
-        left, right = images[a], images[a + 1]
-        if left > right:
-            images[a], images[a + 1] = right, left
-            chosen.append(pos)
-    if images != list(range(lo, hi + 1)):
-        raise ValueError("ambient word does not contain the permutation")
-    return tuple(reversed(chosen))
+# the product-rule relations
 
 
 def monk_covers(p: Permutation, i: int) -> tuple[tuple[int, int], ...]:

@@ -47,8 +47,14 @@ code they check:
   `Permutation` per letter and `rightmost_subword_by_right_mul` peels one
   `Permutation` per chosen letter, against the one-pass image-list sweeps
   `perms.wiring_sweep`, `perms.prod_word`, `perms.is_reduced` and
-  `shuffles.rightmost_subword`; `random_words` draws the seeded words
-  they are compared on;
+  `rightmost_subword`; `random_words` draws the seeded words they are
+  compared on;
+- `rightmost_subword` embeds a permutation greedily from the right on one
+  image list, against the containment check of `shuffles.pieri_unshuffle`,
+  and `check_unmarked_subword_by_two_sweeps` is the Pieri insertion's
+  subword check as a whole-word `perms.wiring_sweep` and then a separate
+  `rightmost_subword`, against the one-pass
+  `shuffles._check_unmarked_subword`;
 - `demazure_step` is one letter of the Demazure product on a `Permutation`;
 - `quasi_yamanouchi_for_word_by_sequences` tries every positive compatible
   sequence of a reduced word, and `glide_of_word_by_filter` filters every
@@ -60,7 +66,7 @@ import random
 
 from collections import Counter
 
-from schubcalc import perms, shapes
+from schubcalc import perms, shapes, shuffles
 from schubcalc.complexes import Classification, SimplicialComplex
 from schubcalc.perms import INF, Permutation
 from schubcalc.pipedreams import (
@@ -508,6 +514,53 @@ def rightmost_subword_by_right_mul(ambient, p):
             remaining = remaining.right_mul_simple(letter)
             chosen.append(pos)
     if not remaining.is_identity():
+        raise ValueError("ambient word does not contain the permutation")
+    return tuple(reversed(chosen))
+
+
+def check_unmarked_subword_by_two_sweeps(slots, marks, down, up, column, source):
+    """The subword check of a Pieri insertion step: the unmarked positions,
+    each pending cross adding the leftmost up-marked cross that books the
+    label it holds, are the rightmost subword for the source in the word
+    without its pending crosses.  Raises InvariantError when they are not."""
+    crosses = perms.wiring_sweep(slots, skip=down)[1]
+    virtual = {p for p, m in enumerate(marks, start=1) if m is None}
+    ups = sorted(up)
+    for j in down:
+        if slots[j - 1] == INF:
+            continue
+        held = crosses[j - 1][1 if column else 0]
+        for p in ups:
+            if crosses[p - 1][0 if column else 1] == held:
+                virtual.add(p)
+                break
+    visible = tuple(None if (p in down or a == INF) else a
+                    for p, a in enumerate(slots, start=1))
+    expected = rightmost_subword(visible, source)
+    if frozenset(virtual) != frozenset(expected):
+        raise shuffles.InvariantError(f"unmarked subword {sorted(virtual)} "
+                                      f"!= rightmost subword {sorted(expected)}")
+
+
+def rightmost_subword(ambient, p):
+    """Positions of the greedy right-to-left embedding of a reduced word for
+    p, on one image list; entries of the ambient that are None (or INF) are
+    unusable.  Raises ValueError when there is none."""
+    usable = [(pos, int(a)) for pos, a in enumerate(ambient, start=1)
+              if a is not None and a != INF]
+    lo = min([p.lo] + [a for _, a in usable])
+    hi = max([p.lo + len(p.window) - 1] + [a + 1 for _, a in usable])
+    # images[x - lo] = remaining(x), remaining being p times the simple
+    # transpositions of the letters chosen so far
+    images = list(p.one_line(lo, hi))
+    chosen: list[int] = []
+    for pos, a in reversed(usable):
+        a -= lo
+        left, right = images[a], images[a + 1]
+        if left > right:
+            images[a], images[a + 1] = right, left
+            chosen.append(pos)
+    if images != list(range(lo, hi + 1)):
         raise ValueError("ambient word does not contain the permutation")
     return tuple(reversed(chosen))
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schubcalc import cli, poly
+from schubcalc import cli, poly, shuffles
 from schubcalc.perms import (Permutation, format_permutation, format_word, parse_permutation,
                              reduced_words)
 from schubcalc.shuffles import InvariantError
@@ -77,6 +78,69 @@ def test_shuffle_verify(capsys):
     code, out, _ = run(capsys, "shuffle", "verify", "--rule", "pieri-r",
                        "--perm", "[21]", "--i", "1", "--k", "2")
     assert code == 0 and "ok" in out
+
+
+@pytest.mark.parametrize("rule", ["pieri-c", "pieri-r"])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_shuffle_verify_checks_k_before_shuffling(capsys, monkeypatch, rule, k):
+    """A Pieri verify with k < 1 is a domain error before any shuffle runs."""
+    def shuffled(*args, **kwargs):
+        raise RuntimeError("shuffled")
+    monkeypatch.setattr(shuffles, "pieri_shuffle", shuffled)
+    code, out, err = run(capsys, "shuffle", "verify", "--rule", rule, "--perm", "[4213]",
+                         "--i", "2", f"--k={k}")
+    assert (code, out, err) == (1, "", "error: need k >= 1\n")
+
+
+def test_shuffle_verify_monk_ignores_k(capsys):
+    code, out, err = run(capsys, "shuffle", "verify", "--rule", "monk", "--perm", "[321]",
+                         "--i", "1", "--k=-1")
+    assert (code, out, err) == (0, "monk bijection on [321], i=1: ok (8 shuffles)\n", "")
+
+
+# stdout, stderr and exit code of cli.main with COLUMNS=80: every --help, usage
+# errors, and the benchmark's commands in three --format placements
+GOLDEN = json.loads((Path(__file__).resolve().parent / "cli_golden.json").read_text())
+
+
+def _captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # --help and argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _build_every_command_parser(argv):
+    """The parser with every command's arguments, whatever argv names."""
+    formats = ("text", "json", "svg", "dot")
+    parser = argparse.ArgumentParser(prog="schubcalc")
+    parser.add_argument("--format", choices=formats, default="text")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in cli._COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        p.add_argument("--format", choices=formats, default=argparse.SUPPRESS)
+        add_arguments(p)
+    return parser
+
+
+@pytest.mark.parametrize("case", GOLDEN["cases"],
+                         ids=[" ".join(case["argv"]) or "-" for case in GOLDEN["cases"]])
+def test_golden_output(monkeypatch, case):
+    """The recorded bytes, on the Python they were recorded with.  argparse
+    words its help differently on other versions ("optional arguments:"
+    before 3.11), so there the reference is the parser with every command's
+    arguments, which the bytes were recorded from."""
+    monkeypatch.setenv("COLUMNS", str(GOLDEN["columns"]))
+    got = _captured(case["argv"])
+    if "%d.%d" % sys.version_info[:2] == GOLDEN["python"]:
+        expected = case["code"], case["stdout"], case["stderr"]
+    else:
+        monkeypatch.setattr(cli, "build_parser", _build_every_command_parser)
+        expected = _captured(case["argv"])
+    assert got == expected
 
 
 @pytest.mark.parametrize("argv, trace", [
@@ -330,6 +394,21 @@ def _small_permutation(draw):
     return Permutation.from_one_line(draw(st.permutations(range(lo, lo + n))), lo=lo)
 
 
+def _maybe_malformed(draw, good, bad):
+    """A value from `good`, or one in ten times from the malformed `bad`: a
+    draw of 7 from 1..10, as hypothesis favours the ends of a range."""
+    return draw(st.sampled_from(bad) if draw(st.integers(1, 10)) == 7 else good)
+
+
+_PERMS = (_small_permutation().map(format_permutation), ["[11]", "4213", "[21]@x"])
+_WORDS = (st.one_of(st.lists(st.integers(-2, 6), max_size=6),
+                    _small_permutation().flatmap(lambda p: st.sampled_from(reduced_words(p))))
+          .map(format_word), ["1a", "1,,2", "oo"])
+_SHAPES = (st.lists(st.integers(0, 3), max_size=3).map(lambda ps: ",".join(map(str, ps))),
+           ["x", "1,", "-1"])
+_SMALL_INTS = (st.integers(-2, 4).map(str), ["x"])
+
+
 _SHUFFLE_NEEDS = {"monk": ("--word", "--pos"), "monk-inv": ("--word", "--perm"),
                   "pieri": ("--word", "--pos"), "pieri-inv": ("--word", "--perm"),
                   "verify": ("--perm",)}
@@ -340,27 +419,23 @@ def _shuffle_argv(draw):
     """A `shuffle` command line: the options its action needs are there nine
     times in ten, the others half the time; one value in ten is malformed."""
     action = draw(st.sampled_from(sorted(_SHUFFLE_NEEDS)))
-    words = st.one_of(st.lists(st.integers(-2, 6), max_size=6),
-                      _small_permutation().flatmap(lambda p: st.sampled_from(reduced_words(p))))
     options = {
         "--i": (st.integers(-2, 6).map(str), ["x"]),
-        "--word": (words.map(format_word), ["1a", "1,,2", "oo"]),
+        "--word": _WORDS,
         "--pos": (st.lists(st.integers(-1, 9), min_size=1, max_size=3).map(
             lambda ps: ",".join(map(str, ps))), ["", "x", "1,", "2;3"]),
-        "--perm": (_small_permutation().map(format_permutation), ["[11]", "4213", "[21]@x"]),
+        "--perm": _PERMS,
         "--variant": (st.sampled_from(["c", "r"]), ["x"]),
         "--k": (st.integers(-1, 3).map(str), ["x"]),
         "--rule": (st.sampled_from(["monk", "pieri-c", "pieri-r"]), ["pieri"]),
         "--format": (st.sampled_from(["text", "json"]), ["xml"]),
     }
     argv = ["shuffle", action]
-    # one in ten is a draw of 7 from 1..10: hypothesis favours the ends of a range
     for flag, (good, bad) in options.items():
         needed = flag in _SHUFFLE_NEEDS[action]
         if (draw(st.integers(1, 10)) != 7) if needed else draw(st.booleans()):
-            value = draw(st.sampled_from(bad) if draw(st.integers(1, 10)) == 7 else good)
             # flag=value: argparse reads a separate "-1,2" as an option
-            argv.append(f"{flag}={value}")
+            argv.append(f"{flag}={_maybe_malformed(draw, good, bad)}")
     if draw(st.booleans()):
         argv.append("--trace")
     return argv
@@ -371,11 +446,67 @@ def _shuffle_argv(draw):
 def test_shuffle_argv_fuzz(argv):
     """Any shuffle command line exits 0, 1 (domain error) or 2 (usage error),
     never 3 (internal error), and never prints a traceback."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
-    assert code in (0, 1, 2), (argv, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    code, _, err = _captured(argv)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err
+
+
+def _choices(names):
+    return st.sampled_from(names), ["x"]
+
+
+# command -> (its positionals, its options: a switch maps to None)
+_COMMAND_ARGS = {
+    "perm": ([_choices(tuple(cli._PERM_ACTIONS)), _PERMS],
+             {"--word": _WORDS, "--power": _SMALL_INTS}),
+    "poly": ([_choices(tuple(cli._POLY_FAMILIES)),
+              (st.one_of(_PERMS[0], _SHAPES[0]), _PERMS[1] + _SHAPES[1])],
+             {"--vars": _SMALL_INTS, "--lower-bound": _SMALL_INTS}),
+    "expand": ([_choices(tuple(cli._EXPAND_RULES)),
+                (st.one_of(_PERMS[0], _SHAPES[0]), _PERMS[1] + _SHAPES[1])],
+               {"--vars": _SMALL_INTS}),
+    "pipedreams": ([_choices(tuple(cli._DREAM_POOLS)), _PERMS],
+                   {"--all": None, "--max-excess": _SMALL_INTS}),
+    "complex": ([_choices(("subword", "slide", "delta-w", "tableau", "classify",
+                           "decompose-ssyt", "sr-generators"))],
+                {"--word": _WORDS, "--perm": _PERMS, "--target": _WORDS,
+                 "--words": (st.lists(_WORDS[0], min_size=1, max_size=3).map(";".join),
+                             ["", "1;;2"]),
+                 "--family": _choices(("syt", "ssyt", "ct", "wct")), "--shape": _SHAPES,
+                 "--vars": _SMALL_INTS, "--classify": None}),
+}
+
+
+@st.composite
+def _command_argv(draw, command):
+    """A command line of `command`: each positional nine times in ten, each
+    option half the time, one value in ten malformed, and --format before
+    the command, after it or not at all."""
+    positionals, options = _COMMAND_ARGS[command]
+    argv = [command]
+    for good, bad in positionals:
+        if draw(st.integers(1, 10)) != 7:
+            argv.append(_maybe_malformed(draw, good, bad))
+    for flag, values in options.items():
+        if draw(st.booleans()):
+            # flag=value: argparse reads a separate "-1,2" as an option
+            argv.append(flag if values is None
+                        else f"{flag}={_maybe_malformed(draw, *values)}")
+    fmt = "--format=" + _maybe_malformed(draw, st.sampled_from(["text", "json", "svg", "dot"]),
+                                         ["xml"])
+    placement = draw(st.sampled_from(["before", "after", "none"]))
+    if placement == "before":
+        return [fmt, *argv]
+    return [*argv, fmt] if placement == "after" else argv
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_command_argv_fuzz(command, data):
+    """Any command line of the other commands exits 0, 1 or 2, never 3, and
+    never prints a traceback; the parser is built for the command it names."""
+    argv = data.draw(_command_argv(command))
+    code, _, err = _captured(argv)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err

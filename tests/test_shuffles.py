@@ -18,7 +18,9 @@ from schubcalc.perms import (
     symmetric_group,
 )
 from schubcalc.shuffles import (
+    DOWN,
     INF,
+    UP,
     MarkedWord,
     cycle_factor,
     insert_slots,
@@ -30,10 +32,15 @@ from schubcalc.shuffles import (
     pieri_shuffle,
     pieri_targets,
     pieri_unshuffle,
-    rightmost_subword,
 )
 
-from oracles import prod_word_by_simples, random_words, rightmost_subword_by_right_mul
+from oracles import (
+    check_unmarked_subword_by_two_sweeps,
+    prod_word_by_simples,
+    random_words,
+    rightmost_subword,
+    rightmost_subword_by_right_mul,
+)
 
 
 # -- Monk insertion ----------------------------------------------------------
@@ -233,6 +240,81 @@ def test_pieri_bijection_s3_k3_validated(variant):
                           for w in reduced_words(s))
             assert sorted(outputs) == pool, (str(p), i, variant)
             assert math.comb(p.length + 3, 3) * len(words) == len(pool)
+
+
+def _visit_checked_states(monkeypatch, visit, group, ks, i_values):
+    """Call visit(source, the check's arguments) on every state that the
+    subword check sees in the validated Pieri runs on the reduced words of
+    `group`, both variants; return the number of states."""
+    one_pass = shuffles._check_unmarked_subword
+    count = 0
+
+    def both(*args):
+        nonlocal count
+        count += 1
+        visit(source, args)
+        one_pass(*args)
+
+    monkeypatch.setattr(shuffles, "_check_unmarked_subword", both)
+    for source in group:
+        words = reduced_words(source)
+        for variant, k, i in itertools.product("cr", ks, i_values):
+            for w, positions in _pieri_domain(words, k):
+                pieri_shuffle(i, w, positions, variant=variant, validate=True)
+    monkeypatch.undo()
+    return count
+
+
+def _with_one_unmark_flipped(marks):
+    """The marks with one unmarked cross marked up, for each unmarked cross."""
+    for p, m in enumerate(marks):
+        if m is None:
+            yield marks[:p] + [UP] + marks[p + 1:]
+
+
+def test_subword_check_matches_two_sweep_oracle(monkeypatch):
+    """At every step of every validated Pieri run on the reduced words of S4,
+    both variants, k = 1..3 and i = 0..4, the one-pass subword check agrees
+    with the two-sweep oracle, outcome for outcome."""
+    one_pass = shuffles._check_unmarked_subword
+
+    def agree(source, args):
+        slots, marks, down, up, column, lo, images = args
+        expected = _repr_or_error(check_unmarked_subword_by_two_sweeps,
+                                  slots, marks, down, up, column, source)
+        assert _repr_or_error(one_pass, *args) == expected, args
+
+    assert _visit_checked_states(monkeypatch, agree, symmetric_group(4), (1, 2, 3),
+                                 range(0, 5)) == 162_478
+
+
+def test_subword_check_rejects_a_flipped_unmark(monkeypatch):
+    """A state of a validated run with one unmarked cross marked up fails the
+    check, with the text of the two-sweep oracle: every such state of the
+    runs on S3, both variants, k = 1..3 and i = 0..3."""
+    one_pass = shuffles._check_unmarked_subword
+    flipped = 0
+
+    def fail(source, args):
+        nonlocal flipped
+        slots, marks, down, up, column, lo, images = args
+        for state in _with_one_unmark_flipped(marks):
+            got = _repr_or_error(one_pass, slots, state, down, up, column, lo, images)
+            assert got.startswith("InvariantError: unmarked subword ")
+            assert got == _repr_or_error(check_unmarked_subword_by_two_sweeps,
+                                         slots, state, down, up, column, source)
+            flipped += 1
+
+    _visit_checked_states(monkeypatch, fail, symmetric_group(3), (1, 2, 3), range(0, 4))
+    assert flipped > 1_000
+    # the first step of pieri_shuffle(5, 53, 3,4,5): 5v 3 oov oov 5^, where
+    # the pending 5 holds the label that the up-marked 5 books
+    lo, images = 2, list(prod_word((5, 3)).one_line(2, 9))
+    args = ([5, 3, INF, INF, 5], [DOWN, None, DOWN, DOWN, UP], {1, 3, 4}, {5}, True, lo)
+    assert _repr_or_error(shuffles._check_unmarked_subword, *args, images) == "None"
+    args[1][1] = UP
+    assert (_repr_or_error(shuffles._check_unmarked_subword, *args, images)
+            == "InvariantError: unmarked subword [5] != rightmost subword [2, 5]")
 
 
 # -- relations ----------------------------------------------------------------
