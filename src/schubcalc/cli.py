@@ -146,6 +146,11 @@ _DREAM_POOLS = {
 
 
 def _cmd_pipedreams(args) -> int:
+    if args.max_excess is not None:  # only `list --all` reads it
+        if args.max_excess < 0:
+            raise ParseError(f"--max-excess must be at least 0, not {args.max_excess}", 0)
+        if args.action != "list" or not args.all:
+            raise ParseError("--max-excess applies only to `list --all`", 0)
     pool = _DREAM_POOLS[args.action](perms.parse_permutation(args.perm), args)
     dreams = sorted(pool, key=lambda d: d.sorted_crosses())
     if args.action != "render":

@@ -199,70 +199,68 @@ def staircase_cells(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def _search(p: Permutation, n: int, max_excess: int | None,
-            pieces: list[int]) -> dict[int, int]:
+            cells: tuple[tuple[int, int], ...], pieces: list[int]) -> dict[int, int]:
     """{code: (-1)^excess * count} over the pipe dreams of size n for p with
     excess at most max_excess, a dream's code being the sum of pieces[k]
-    over its crosses k in reading order.  Every prune is written here once.
+    over its crosses k, the cells of staircase_cells(n) in reading order.
+    Every prune is written here once.
 
     The walk visits the cells in reading order carrying a state: x, the
     Demazure product of the crosses taken so far as the tuple of the images
-    of 1..n, its length and, under a finite max_excess, its excess.  Taking
-    the letter a swaps the images at a and a+1 when they ascend, else raises
-    the excess and flips the sign.  A branch lives only while (a) x <= p in
-    Bruhat order, and (b) x followed by every remaining letter has Demazure
-    product >= p.  Before cell (r, c) those letters are r+c-1, ..., r and
-    then the full rows below, whose product is w0 on positions r+1..n, so x
-    followed by them is max(x(r..r+c)) at r, then the rest of x(r..n)
-    decreasing.  By the tableau criterion, given (a), (b) says x agrees with
+    of 1..n, and, under a finite max_excess, its excess.  Taking the letter
+    a swaps the images at a and a+1 when they ascend, else raises the excess
+    and flips the sign, so x only stays or climbs in right weak order.  A
+    branch lives only while (a) x <= p in right weak order, each inversion
+    of x, as a pair of values, being one of p: an ascent that puts v before
+    u < v needs v before u in p, one lookup in p's inverse.  And (b) x
+    followed by every remaining letter has Demazure product >= p.  Before
+    cell (r, c) those letters are r+c-1, ..., r and then the full rows below,
+    whose product is w0 on positions r+1..n, so x followed by them is
+    max(x(r..r+c)) at r, then the rest of x(r..n) decreasing.  As (a) gives
+    x <= p in Bruhat order, by the tableau criterion (b) says x agrees with
     p on 1..r-1 (tested once per row, when its last cell is skipped) and
     max(x(r..r+c)) >= p(r).  Taking a cell keeps (b), and so does skipping a
-    descent of x, as x s_a = x.  Taking a right descent of p keeps (a)
-    (Deodhar's lifting property), so only the other lengthening letters
-    consult the Bruhat test, memoised per call.  At the end (a) and (b) say
-    x == p.  The paths that reach one state share one map from code to
-    signed count, each move merging its map into the state it reaches with
-    one setdefault (a new state adopts the map): Fomin-Kirillov's row product in
-    the nilCoxeter and 0-Hecke algebras ("The Yang-Baxter equation, symmetric
-    functions, and Schubert polynomials", 1996; "Grothendieck polynomials and
-    the Yang-Baxter equation", 1994).
+    descent of x, as x s_a = x.  At the end (a) and (b) say x == p.  The
+    paths that reach one state share one map from code to signed count,
+    each move merging its map into the state it reaches with one setdefault
+    (a new state adopts the map): Fomin-Kirillov's row product in the
+    nilCoxeter and 0-Hecke algebras ("The Yang-Baxter equation, symmetric
+    functions, and Schubert polynomials", 1996; "Grothendieck polynomials
+    and the Yang-Baxter equation", 1994).
     """
     if (max_excess is not None and max_excess < 0
             or p.support is not None and (p.support[0] < 1 or p.support[1] > n)):
         return {}
     target = p.one_line(1, n)
-    below: dict[tuple[int, ...], bool] = {}
-    states = {(tuple(range(1, n + 1)), 0, 0): {0: 1}}
-    for (r, c), piece in zip(staircase_cells(n), pieces):
+    where = [0, *sorted(range(n), key=target.__getitem__)]  # where[v]: v's position in p
+    states = {(tuple(range(1, n + 1)), 0): {0: 1}}
+    for (r, c), piece in zip(cells, pieces):
         i = r + c - 2  # the letter r + c - 1 acts on the images at i and i + 1
         merged: dict = {}
-        for (x, length, excess), counts in states.items():
+        for (x, excess), counts in states.items():
             u, v = x[i], x[i + 1]
             if u > v or (max(x[r - 1:i + 1]) >= target[r - 1] if c > 1 else u == target[i]):
-                into = merged.setdefault((x, length, excess), counts)  # skip the cell
+                into = merged.setdefault((x, excess), counts)  # skip the cell
                 if into is not counts:
                     for code, m in counts.items():
                         into[code] = into.get(code, 0) + m
             if u > v:  # take a descent: the excess grows and the sign flips
                 if max_excess is not None and excess >= max_excess:
                     continue
-                key = (x, length, excess + (max_excess is not None))
+                key = (x, excess + (max_excess is not None))
                 more = {code + piece: -m for code, m in counts.items()}
-            else:
-                y = x[:i] + (v, u) + x[i + 2:]
-                ok = target[i] > target[i + 1] or below.get(y)
-                if ok is None:
-                    ok = below[y] = length < p.length and perms._bruhat_leq_images(y, target, 1)
-                if not ok:
-                    continue
-                key = (y, length + 1, excess)
+            elif where[v] < where[u]:
+                key = (x[:i] + (v, u) + x[i + 2:], excess)
                 more = {code + piece: m for code, m in counts.items()}
+            else:
+                continue
             into = merged.setdefault(key, more)
             if into is not more:
                 for code, m in more.items():
                     into[code] = into.get(code, 0) + m
         states = merged
     # one final state per excess, whose codes never meet
-    return {code: m for (x, _, _), counts in states.items() if x == target
+    return {code: m for (x, _), counts in states.items() if x == target
             for code, m in counts.items()}
 
 
@@ -279,7 +277,7 @@ def all_pipe_dreams(p: Permutation, n: int | None = None,
     if n is None:
         n = ambient_size(p)
     cells = staircase_cells(n)
-    codes = _search(p, n, max_excess, [1 << 8 * k for k in range(len(cells))])
+    codes = _search(p, n, max_excess, cells, [1 << 8 * k for k in range(len(cells))])
     return frozenset(PipeDream._trusted(n, frozenset(compress(cells, code.to_bytes(len(cells), "little"))))
                      for code in codes)
 
@@ -295,7 +293,8 @@ def weight_terms(p: Permutation,
     [(((1, 1),), 1), (((1, 1), (2, 1)), -1), (((2, 1),), 1)]
     """
     n = ambient_size(p)
-    codes = _search(p, n, max_excess, [n ** (r - 1) for r, _ in staircase_cells(n)])
+    cells = staircase_cells(n)
+    codes = _search(p, n, max_excess, cells, [n ** (r - 1) for r, _ in cells])
     terms = {}
     for code, count in codes.items():
         mono = []

@@ -305,7 +305,7 @@ def backstable_truncation(p: Permutation, lowest_index: int) -> Polynomial:
     of p holds the letter of its least moved point, and no compatible entry
     at least L fits under it.  The pipe dream search walks a staircase of
     size (largest moved point) + 1 - L, so a very negative L costs about
-    |L|^3: on a 2-vCPU host s_1 takes 0.04-0.07 s at L = -100 and about 1 s
+    |L|^3: on a 2-vCPU host s_1 takes 0.02-0.04 s at L = -100 and about 0.5 s
     at L = -300, where a sum over its one reduced word takes under 1 ms.
 
     >>> str(backstable_truncation(perms.parse_permutation("[21]"), 0))

@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schubcalc import perms
 from schubcalc.perms import (
@@ -239,6 +240,19 @@ def test_format_and_parse_permutations():
     assert parse_permutation(format_permutation(shifted)) == shifted
     wide = Permutation.from_one_line((10, 2, 3, 4, 5, 6, 7, 8, 9, 1))
     assert parse_permutation(format_permutation(wide)) == wide
+
+
+@st.composite
+def _permutations(draw):
+    """A permutation of at most 12 points, its window at -3..3."""
+    n, lo = draw(st.integers(1, 12)), draw(st.integers(-3, 3))
+    return Permutation.from_one_line(draw(st.permutations(range(lo, lo + n))), lo=lo)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_permutations())
+def test_parse_inverts_str(p):
+    assert parse_permutation(str(p)) == p
 
 
 def test_parse_errors_report_positions():

@@ -1,8 +1,10 @@
 import itertools
+import json
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schubcalc import perms, pipedreams
 from schubcalc.perms import Permutation, parse_permutation, parse_word, symmetric_group
@@ -23,6 +25,7 @@ from schubcalc.pipedreams import (
 )
 
 from oracles import (
+    demazure_step,
     quasi_yamanouchi_for_word_by_sequences,
     reduced_pipe_dreams_by_moves,
     scan_pipe_dreams,
@@ -87,12 +90,40 @@ def test_move_counts():
 def test_closure_equals_subword_enumeration():
     """The chute/ladder closure of the bottom pipe dream (the test oracle)
     gives the same set as the excess-0 search over subwords of the
-    triangular word, for every p in S4-S6 at its own size and one larger."""
-    for p in itertools.chain(*(symmetric_group(m) for m in (4, 5, 6))):
+    triangular word, for every p in S4-S6 and a seeded sample of S7, at its
+    own size and one larger."""
+    sample = random.Random(7).sample(list(symmetric_group(7)), 40)
+    for p in itertools.chain(*(symmetric_group(m) for m in (4, 5, 6)), sample):
         for n in (None, pipedreams.ambient_size(p) + 1):
             closure = reduced_pipe_dreams_by_moves(p, n)
             assert reduced_pipe_dreams(p, n) == closure, (str(p), n)
             assert all_pipe_dreams(p, n, max_excess=0) == closure, (str(p), n)
+
+
+def test_every_prefix_stays_below_p_in_right_weak_order():
+    """The search's prune: folding a dream's reading word one Demazure step
+    at a time, each prefix's inversions, as pairs of values, are inversions
+    of p.  On every dream of every p in S1-S5, any excess, and on the
+    reduced dreams of S6."""
+    inversions = {}
+
+    def value_inversions(x, n):
+        if (x, n) not in inversions:
+            inversions[x, n] = {(x(j), x(i)) for i in range(1, n + 1)
+                                for j in range(i + 1, n + 1) if x(i) > x(j)}
+        return inversions[x, n]
+
+    pools = itertools.chain(((p, all_pipe_dreams(p)) for m in range(1, 6)
+                             for p in symmetric_group(m)),
+                            ((p, reduced_pipe_dreams(p)) for p in symmetric_group(6)))
+    for p, dreams in pools:
+        for dream in dreams:
+            allowed = value_inversions(p, dream.n)
+            x = Permutation.identity()
+            for letter in dream.reading_word():
+                x = demazure_step(x, letter)
+                assert value_inversions(x, dream.n) <= allowed, (str(p), dream)
+            assert x == p, (str(p), dream)
 
 
 def test_triangular_word():
@@ -230,6 +261,21 @@ def test_all_pipe_dreams_outside_positive_support():
             all_pipe_dreams(p)
         with pytest.raises(ValueError):
             weight_terms(p)
+
+
+@st.composite
+def _dreams(draw):
+    """Any cross set of a staircase of size at most 6."""
+    n = draw(st.integers(0, 6))
+    cells = staircase_cells(n)
+    chosen = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    return PipeDream(n, frozenset(itertools.compress(cells, chosen)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_dreams())
+def test_json_round_trip(dream):
+    assert pipedreams.from_json(json.loads(json.dumps(pipedreams.to_json(dream)))) == dream
 
 
 def test_render_and_json():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -166,6 +167,13 @@ def test_printing_and_json():
     assert str(mono({1: 2}, -1)) == "-x_1^2"
     assert "x_-1" in str(p)
     assert Polynomial.from_json(p.to_json()) == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(_term_dicts)
+def test_json_round_trip(terms):
+    p = Polynomial(terms)
+    assert Polynomial.from_json(json.loads(json.dumps(p.to_json()))) == p
 
 
 # -- schubert / grothendieck ------------------------------------------------
