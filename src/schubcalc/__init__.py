@@ -32,7 +32,6 @@ from .shapes import (
     Komposition,
     flatten,
     refines,
-    dominates,
     composition_to_set,
     set_to_composition,
     enumerate_tableaux,

@@ -151,6 +151,8 @@ def _cmd_pipedreams(args) -> int:
             raise ParseError(f"--max-excess must be at least 0, not {args.max_excess}", 0)
         if args.action != "list" or not args.all:
             raise ParseError("--max-excess applies only to `list --all`", 0)
+    if args.all and args.action == "render":  # render draws the reduced dreams only
+        raise ParseError("--all applies only to `list` and `qy`", 0)
     pool = _DREAM_POOLS[args.action](perms.parse_permutation(args.perm), args)
     dreams = sorted(pool, key=lambda d: d.sorted_crosses())
     if args.action != "render":

@@ -545,14 +545,11 @@ def _tableau_facets(family: str, shape: shapes.Shape, n: int, ambient) -> tuple[
     each tableau's facet: its complement inside the ambient filling."""
     elements = {t: _tableau_elements(t) for t in shapes.enumerate_tableaux(family, shape, n)}
     ambient = frozenset().union(*elements.values()) if ambient is None else frozenset(ambient)
+    if not all(0 < r <= len(shape) and 0 < c <= shape[r - 1] for (r, c), _ in ambient):
+        raise ValueError("an ambient element lies in no box of the shape")
     if not all(e <= ambient for e in elements.values()):
         raise ValueError("ambient filling must contain every family tableau")
     return ambient, {t: ambient - e for t, e in elements.items()}
-
-
-def tableau_ambient(family: str, shape: shapes.Shape, n: int) -> frozenset[TableauVertex]:
-    """Union of all family tableaux, the default ambient set-valued filling."""
-    return _tableau_facets(family, shape, n, None)[0]
 
 
 def tableau_complex(family: str, shape: shapes.Shape, n: int,
@@ -564,41 +561,28 @@ def tableau_complex(family: str, shape: shapes.Shape, n: int,
     return SimplicialComplex(tuple(sorted(ambient)), frozenset(facets.values()))
 
 
-def elements_to_set_valued(elements: Iterable[TableauVertex],
-                           shape: shapes.Shape) -> shapes.SetValuedTableau | None:
-    """Reassemble ((row, col), value) pairs into a set-valued tableau;
-    None when some box of the shape would be empty.
-    """
-    boxes: dict[tuple[int, int], set[int]] = {}
-    for (box, v) in elements:
-        boxes.setdefault(box, set()).add(v)
-    rows = []
-    for r, width in enumerate(shape, start=1):
-        row = []
-        for c in range(1, width + 1):
-            if (r, c) not in boxes:
-                return None
-            row.append(frozenset(boxes[(r, c)]))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def interior_faces(family: str, shape: shapes.Shape, n: int,
                    ambient: frozenset[TableauVertex] | None = None) -> frozenset[Face]:
     """Faces whose complements are set-valued family tableaux outright (every
     selection in the family), not merely limit set-valued ones.
+
+    For ssyt, ct and wct these are the faces off the boundary: the closure of
+    the facets less the closure of the once-covered ridges that
+    `boundary_faces` closes, all on masks; a sphere has no such ridge, so
+    every face is interior.  For ssyt the complex is a ball or sphere whose
+    interior faces are these (Knutson-Miller-Yong, "Groebner geometry of
+    vertex decompositions and of flagged tableaux", 2009); for all three the
+    rule was checked against the selections of each face's complement on
+    every complex with |shape| <= 5 and n <= 5.  For syt they are the facets:
+    were a box to hold two values, two selections would differ only there
+    and could not both use each of 1..N once, so a set-valued tableau whose
+    every selection is standard is single-valued, and its face a facet.
     """
-    ambient, facets = _tableau_facets(family, shape, n, ambient)
-    complex_ = SimplicialComplex(tuple(sorted(ambient)), frozenset(facets.values()))
-    out = set()
-    for face in complex_.faces():
-        svt = elements_to_set_valued(ambient - face, shape)
-        if svt is None:
-            continue
-        if (shapes.classify_set_valued(svt, family, n) == "set-valued" if family == "syt"
-                else shapes._every_selection_fits(svt, family, n)):
-            out.add(face)
-    return frozenset(out)
+    complex_ = tableau_complex(family, shape, n, ambient)
+    if family == "syt":
+        return complex_.facets
+    order, _, masks = complex_._view
+    return frozenset(_faces(order, _closure(masks) - _closure(complex_._classified[2])))
 
 
 def ssyt_standardization_decomposition(shape: shapes.Shape, n: int) -> dict[shapes.Tableau, SimplicialComplex]:

@@ -302,16 +302,18 @@ def parse_permutation(text: str) -> Permutation:
 
 
 def format_word(word: Sequence[int]) -> str:
-    """Digit string when all letters are 1..9, else comma-separated.
+    """Digit string when all letters are 1..9, else comma-separated; a
+    one-letter word past 9 keeps a trailing comma, as its digits alone
+    would read as a digit string.
 
     >>> format_word((3, 2, 1, 2))
     '3212'
-    >>> format_word((5, -1, 3))
-    '5,-1,3'
+    >>> format_word((5, -1, 3)), format_word((10,))
+    ('5,-1,3', '10,')
     """
     if all(1 <= a <= 9 for a in word):
         return "".join(str(a) for a in word)
-    return ",".join(str(a) for a in word)
+    return ",".join(str(a) for a in word) + ("," if len(word) == 1 and word[0] > 9 else "")
 
 
 def parse_word(text: str) -> Word:
@@ -321,7 +323,7 @@ def parse_word(text: str) -> Word:
     if "," in s or "-" in s:
         letters = []
         offset = 0
-        for part in s.split(","):
+        for part in s.removesuffix(",").split(","):
             try:
                 letters.append(int(part))
             except ValueError:

@@ -115,17 +115,6 @@ def refines(fine: Sequence[int], coarse: Sequence[int]) -> bool:
     return composition_to_set(coarse) <= composition_to_set(fine)
 
 
-def dominates(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Prefix sums of a weakly exceed those of b (shorter side padded)."""
-    ta = tb = 0
-    for i in range(max(len(a), len(b))):
-        ta += a[i] if i < len(a) else 0
-        tb += b[i] if i < len(b) else 0
-        if ta < tb:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # single-valued tableaux
 
@@ -476,15 +465,3 @@ def is_glide(kappa: Komposition, shape: Sequence[int]) -> bool:
 
 def tableau_to_json(tableau: Tableau) -> list[list[int]]:
     return [list(row) for row in tableau]
-
-
-def set_valued_to_json(svt: SetValuedTableau) -> list[list[list[int]]]:
-    return [[sorted(box) for box in row] for row in svt]
-
-
-def tableau_from_json(data: list[list[int]]) -> Tableau:
-    return tuple(tuple(row) for row in data)
-
-
-def set_valued_from_json(data: list[list[list[int]]]) -> SetValuedTableau:
-    return tuple(tuple(frozenset(box) for box in row) for row in data)

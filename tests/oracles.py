@@ -17,7 +17,12 @@ code they check:
   `poly`; `compositions_weak` lists the weak compositions of a given size;
 - `is_family_tableau_by_rules` writes each tableau family's rules out on
   its own, against the one bound checker behind `shapes.is_family_tableau`
-  and `shapes._every_selection_fits`;
+  and `shapes._every_selection_fits`; `dominates` compares prefix sums of
+  weak compositions;
+- `interior_faces_by_tableaux` rebuilds each face's complement as a
+  set-valued tableau with `elements_to_set_valued` and tests its
+  selections, against the faces-minus-boundary rule on masks of
+  `complexes.interior_faces`;
 - `vertex_decomposition_by_deletion_link` walks deletions and links with no
   memo, against the memoised search in `complexes`;
 - `face_by_binary_digits` reads a mask's binary digits, one per vertex,
@@ -67,7 +72,7 @@ import random
 from collections import Counter
 
 from schubcalc import perms, shapes, shuffles
-from schubcalc.complexes import Classification, SimplicialComplex
+from schubcalc.complexes import Classification, SimplicialComplex, tableau_complex
 from schubcalc.perms import INF, Permutation
 from schubcalc.pipedreams import (
     PipeDream,
@@ -269,6 +274,51 @@ def compositions_weak(total, parts):
     for first in range(total + 1):
         for rest in compositions_weak(total - first, parts - 1):
             yield (first,) + rest
+
+
+def dominates(a, b):
+    """Prefix sums of a weakly exceed those of b (shorter side padded)."""
+    ta = tb = 0
+    for i in range(max(len(a), len(b))):
+        ta += a[i] if i < len(a) else 0
+        tb += b[i] if i < len(b) else 0
+        if ta < tb:
+            return False
+    return True
+
+
+def elements_to_set_valued(elements, shape):
+    """Reassemble ((row, col), value) pairs into a set-valued tableau; None
+    when some box of the shape would be empty."""
+    boxes = {}
+    for box, v in elements:
+        boxes.setdefault(box, set()).add(v)
+    rows = []
+    for r, width in enumerate(shape, start=1):
+        row = []
+        for c in range(1, width + 1):
+            if (r, c) not in boxes:
+                return None
+            row.append(frozenset(boxes[(r, c)]))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def interior_faces_by_tableaux(family, shape, n, ambient=None):
+    """The faces of the tableau complex whose complements are set-valued
+    family tableaux outright: each face's complement rebuilt as a
+    set-valued tableau and its selections tested."""
+    complex_ = tableau_complex(family, shape, n, ambient)
+    ambient = frozenset(complex_.vertices)
+    out = set()
+    for face in faces_by_combinations(complex_):
+        svt = elements_to_set_valued(ambient - face, shape)
+        if svt is None:
+            continue
+        if (shapes.classify_set_valued(svt, family, n) == "set-valued" if family == "syt"
+                else shapes._every_selection_fits(svt, family, n)):
+            out.add(face)
+    return frozenset(out)
 
 
 def stanley_reisner_by_subset_scan(complex_):

@@ -18,7 +18,14 @@ from schubcalc.perms import (
 )
 from schubcalc.poly import Polynomial
 
-from oracles import compositions_weak, demazure_step, schubert_from_words, word_embeddings
+from oracles import (
+    compositions_weak,
+    demazure_step,
+    elements_to_set_valued,
+    interior_faces_by_tableaux,
+    schubert_from_words,
+    word_embeddings,
+)
 
 
 def test_criterion_1_golden_corpus(capsys):
@@ -236,8 +243,18 @@ def test_criterion_5_backwards_saturated_complexes(capsys):
 def test_criterion_6_tableau_complex_suites(capsys):
     """Tableau complexes of the three determined-by-content families are
     vertex-decomposable balls or spheres; the standard-tableau complex is
-    not; interior faces match the topological boundary; the standardization
-    decomposition refines the fundamental expansion."""
+    not; on every complex built here the interior faces match the tableau
+    rule, and for the balls and spheres they are the complement of the
+    boundary; the standardization decomposition refines the fundamental
+    expansion."""
+    def check_interior(family, lam, n, complex_):
+        interior = complexes.interior_faces(family, lam, n)
+        assert interior == interior_faces_by_tableaux(family, lam, n), (family, lam, n)
+        if family != "syt":
+            boundary = complexes.boundary_faces(complex_)
+            assert interior | boundary == set(complex_.faces()), (family, lam, n)
+            assert not (interior & boundary), (family, lam, n)
+
     for total in range(1, 5):
         for lam in _partitions(total):
             for n in range(1, 5):
@@ -247,6 +264,10 @@ def test_criterion_6_tableau_complex_suites(capsys):
                 assert complexes.is_vertex_decomposable(complex_)
                 assert complexes.classify_ball_or_sphere(complex_).kind in (
                     "ball", "sphere"), ("ssyt", lam, n)
+                check_interior("ssyt", lam, n, complex_)
+                complex_ = complexes.tableau_complex("syt", lam, n)
+                if not complex_.is_void:
+                    check_interior("syt", lam, n, complex_)
 
     for total in range(1, 5):
         for lam in _compositions(total):
@@ -256,6 +277,7 @@ def test_criterion_6_tableau_complex_suites(capsys):
                     continue
                 assert complexes.classify_ball_or_sphere(complex_).kind in (
                     "ball", "sphere"), ("ct", lam, n)
+                check_interior("ct", lam, n, complex_)
 
     for total in range(1, 5):
         for parts in range(1, 5):
@@ -265,6 +287,7 @@ def test_criterion_6_tableau_complex_suites(capsys):
                     continue
                 assert complexes.classify_ball_or_sphere(complex_).kind in (
                     "ball", "sphere"), ("wct", lam)
+                check_interior("wct", lam, parts, complex_)
 
     assert complexes.classify_ball_or_sphere(
         complexes.tableau_complex("syt", (2, 1), 3)).kind == "neither"
@@ -272,23 +295,11 @@ def test_criterion_6_tableau_complex_suites(capsys):
     for total in range(1, 5):
         for lam in _partitions(total):
             for n in range(1, 5):
-                complex_ = complexes.tableau_complex("ssyt", lam, n)
-                if complex_.is_void:
-                    continue
-                interior = complexes.interior_faces("ssyt", lam, n)
-                boundary = complexes.boundary_faces(complex_)
-                all_faces = set(complex_.faces())
-                assert interior | boundary == all_faces, (lam, n)
-                assert not (interior & boundary), (lam, n)
-
-    for total in range(1, 5):
-        for lam in _partitions(total):
-            for n in range(1, 5):
                 decomposition = complexes.ssyt_standardization_decomposition(lam, n)
                 if not decomposition:
                     continue
-                ambient = complexes.tableau_ambient("ssyt", lam, n)
                 whole = complexes.tableau_complex("ssyt", lam, n)
+                ambient = frozenset(whole.vertices)
                 all_facets = []
                 for t, sub in decomposition.items():
                     result = complexes.classify_ball_or_sphere(sub)
@@ -296,8 +307,7 @@ def test_criterion_6_tableau_complex_suites(capsys):
                     all_facets.extend(sub.facets)
                     generating = Polynomial.sum(
                         poly.from_weak_composition(shapes.set_valued_content(
-                            complexes.elements_to_set_valued(
-                                frozenset(ambient) - f, lam)))
+                            elements_to_set_valued(ambient - f, lam)))
                         for f in sub.facets)
                     comp = shapes.set_to_composition(shapes.descent_set(t), total) \
                         if total else ()

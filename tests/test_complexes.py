@@ -1,7 +1,9 @@
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from schubcalc import complexes, perms, pipedreams, poly, shapes
 from schubcalc.complexes import (
@@ -15,7 +17,6 @@ from schubcalc.complexes import (
     ssyt_standardization_decomposition,
     stanley_reisner_generators,
     subword_complex,
-    tableau_ambient,
     tableau_complex,
     vertex_decomposition,
     word_set_complex,
@@ -27,10 +28,12 @@ from oracles import (
     boundary_faces_by_combinations,
     complement_facets_by_words,
     deletion_by_sets,
+    elements_to_set_valued,
     face_by_binary_digits,
     faces_by_combinations,
     from_facets_by_scan,
     has_face_by_sets,
+    interior_faces_by_tableaux,
     link_by_sets,
     reduced_euler_characteristic_by_submasks,
     ridge_facet_counts_by_sets,
@@ -173,24 +176,40 @@ def test_tableau_builders_enumerate_once(monkeypatch):
 
 
 def test_tableau_builders_with_phantom_ambient():
-    """An ambient element in no tableau is a cone point of the complex; the
-    interior faces are those whose complement is a set-valued tableau."""
-    for family, shape, n in [("ssyt", (2, 1), 3), ("wct", (0, 2, 1), 3), ("ct", (1, 2), 3)]:
-        phantom = ((1, 1), n + 1)
-        ambient = tableau_ambient(family, shape, n) | {phantom}
+    """An ambient element in no tableau, in a box of the shape, is a cone
+    point of the complex; the interior faces are those whose complement is a
+    set-valued tableau."""
+    for family, shape, n, phantom in [("ssyt", (2, 1), 3, ((1, 1), 4)),
+                                      ("wct", (0, 2, 1), 3, ((2, 1), 4)),
+                                      ("ct", (1, 2), 3, ((1, 1), 4)),
+                                      ("syt", (2, 1), 3, ((2, 1), 4))]:
+        ambient = frozenset(tableau_complex(family, shape, n).vertices) | {phantom}
         complex_ = tableau_complex(family, shape, n, ambient)
         assert complex_.vertices == tuple(sorted(ambient))
         assert complex_.facets == {ambient - complexes._tableau_elements(t)
                                    for t in shapes.enumerate_tableaux(family, shape, n)}
         assert phantom in complex_.cone_vertices()
-        expected = set()
-        for face in faces_by_combinations(complex_):
-            svt = complexes.elements_to_set_valued(ambient - face, shape)
-            if svt is not None and shapes.classify_set_valued(svt, family, n) == "set-valued":
-                expected.add(face)
-        assert interior_faces(family, shape, n, ambient) == expected
+        assert interior_faces(family, shape, n, ambient) == interior_faces_by_tableaux(
+            family, shape, n, ambient)
     with pytest.raises(ValueError):
         tableau_complex("ssyt", (2, 1), 3, frozenset({((1, 1), 1)}))
+
+
+@pytest.mark.parametrize("family, shape, n, outside", [
+    ("wct", (0, 2, 1), 3, ((1, 1), 4)),   # a box of an empty row
+    ("ssyt", (2, 1), 3, ((5, 5), 1)),     # below and right of the shape
+    ("ssyt", (2, 1), 3, ((2, 2), 3)),     # past the end of a row
+    ("ct", (1, 2), 3, ((0, 1), 1)),       # above the first row
+    ("syt", (2, 1), 3, ((1, 0), 1)),      # left of the first column
+])
+def test_tableau_builders_reject_elements_outside_the_shape(family, shape, n, outside):
+    """An element outside every box would sit in no selection, so the
+    complement rule would count both F and F + {element} as interior."""
+    ambient = frozenset(tableau_complex(family, shape, n).vertices) | {outside}
+    with pytest.raises(ValueError, match="no box of the shape"):
+        tableau_complex(family, shape, n, ambient)
+    with pytest.raises(ValueError, match="no box of the shape"):
+        interior_faces(family, shape, n, ambient)
 
 
 def test_classification_examples():
@@ -449,21 +468,11 @@ def test_wct_complex_differs_from_slide_complex_in_adjacency():
     assert f1 & f2
 
     complex_ = tableau_complex("wct", (0, 2, 1), 3)
-    ambient = tableau_ambient("wct", (0, 2, 1), 3)
-    tableaux = {shapes.content(t): frozenset(ambient) - complexes._tableau_elements(t)
+    ambient = frozenset(complex_.vertices)
+    tableaux = {shapes.content(t): ambient - complexes._tableau_elements(t)
                 for t in shapes.enumerate_tableaux("wct", (0, 2, 1), 3)}
     assert not (tableaux[(2, 1)] & tableaux[(0, 2, 1)])
     assert tableaux[(2, 1)] in complex_.facets
-
-
-def test_interior_faces_match_topological_boundary():
-    for lam, n in [((1, 1), 3), ((2,), 3), ((2, 1), 3), ((1, 1, 1), 4)]:
-        complex_ = tableau_complex("ssyt", lam, n)
-        interior = interior_faces("ssyt", lam, n)
-        boundary = boundary_faces(complex_)
-        all_faces = set(complex_.faces())
-        assert interior | boundary == all_faces
-        assert not (interior & boundary)
 
 
 def test_ssyt_decomposition_small():
@@ -471,13 +480,13 @@ def test_ssyt_decomposition_small():
     assert len(decomposition) == 2
     total_facets = sum(len(c.facets) for c in decomposition.values())
     assert total_facets == 8
-    ambient = tableau_ambient("ssyt", (2, 1), 3)
+    ambient = frozenset(tableau_complex("ssyt", (2, 1), 3).vertices)
     for t, sub in decomposition.items():
         result = classify_ball_or_sphere(sub)
         assert result.kind in ("ball", "sphere")
         generating = poly.Polynomial.sum(
             poly.from_weak_composition(shapes.set_valued_content(
-                complexes.elements_to_set_valued(frozenset(ambient) - facet, (2, 1))))
+                elements_to_set_valued(ambient - facet, (2, 1))))
             for facet in sub.facets)
         comp = shapes.set_to_composition(shapes.descent_set(t), 3)
         assert generating == poly.fundamental_quasisymmetric(comp, 3)
@@ -615,6 +624,28 @@ def test_from_facets_matches_the_inclusion_scan():
         SimplicialComplex.from_facets([[1, "a"]], vertices=[1, "a"])
 
 
+@st.composite
+def _complexes(draw):
+    """A complex on distinct int or tableau vertices, from up to six drawn
+    faces: phantom vertices, the void complex and {} all occur."""
+    vertex = draw(st.sampled_from([
+        st.integers(-3, 12),
+        st.tuples(st.tuples(st.integers(1, 3), st.integers(1, 3)), st.integers(1, 4))]))
+    vertices = draw(st.lists(vertex, unique=True, max_size=8))
+    face = st.sets(st.sampled_from(vertices)) if vertices else st.just(set())
+    return SimplicialComplex.from_facets(draw(st.lists(face, max_size=6)), vertices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complexes())
+@example(SimplicialComplex.void([1, 2]))
+@example(SimplicialComplex.from_facets([[]], [((1, 1), 2)]))
+@example(tableau_complex("wct", (0, 2, 1), 3, frozenset(
+    tableau_complex("wct", (0, 2, 1), 3).vertices) | {((2, 1), 4)}))
+def test_json_round_trip(c):
+    assert complexes.from_json(json.loads(json.dumps(c.to_json()))) == c
+
+
 def test_table_decoder_matches_binary_digits():
     """`_faces` equals the digit-by-digit decode on seeded random masks, in
     the order of the masks: orders of 0 to 25 vertices, on both sides of the
@@ -622,7 +653,7 @@ def test_table_decoder_matches_binary_digits():
     2, 5 and 300 masks, so every table width and the high-bit decode run."""
     rng = random.Random(17)
     orders = [tuple(range(10, 10 + n)) for n in (0, 1, 7, 8, 9, 15, 16, 17, 25)]
-    orders.append(tuple(sorted(tableau_ambient("ssyt", (3, 2), 4))))
+    orders.append(tableau_complex("ssyt", (3, 2), 4).vertices)
     for order in orders:
         for count in (1, 2, 5, 300):
             masks = [rng.getrandbits(len(order)) for _ in range(count)]

@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from schubcalc import perms
 from schubcalc.perms import (
@@ -253,6 +253,15 @@ def _permutations(draw):
 @given(_permutations())
 def test_parse_inverts_str(p):
     assert parse_permutation(str(p)) == p
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-30, 30), max_size=8).map(tuple))
+@example((10,))
+def test_parse_word_inverts_format_word(word):
+    """Digit strings, the comma form with negative letters and 0, and one
+    letter past 9, whose digits alone would read as a digit string."""
+    assert parse_word(format_word(word)) == word
 
 
 def test_parse_errors_report_positions():

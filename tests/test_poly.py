@@ -26,6 +26,7 @@ from schubcalc.shuffles import monk_covers
 
 from oracles import (
     compositions_weak,
+    dominates,
     from_exponent_word,
     glide_from_kompositions,
     glide_of_word_by_filter,
@@ -316,7 +317,7 @@ def test_slide_examples():
 def _slide_oracle(shape):
     return Polynomial.sum(from_weak_composition(d)
                           for d in compositions_weak(sum(shape), len(shape))
-                          if shapes.dominates(d, shape) and _refine_ok(d, shape))
+                          if dominates(d, shape) and _refine_ok(d, shape))
 
 
 def _refine_ok(d, shape):
