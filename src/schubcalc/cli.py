@@ -424,6 +424,23 @@ _COMMANDS = {
 }
 
 
+def _check_format(args) -> None:
+    """Every command prints text and JSON but `pipedreams render`, which
+    draws text and SVG; the complexes that print themselves also draw SVG
+    and DOT.  Any other --format value is a usage error, not ignored."""
+    render = args.command == "pipedreams" and args.action == "render"
+    drawn = (args.command == "complex" and not args.classify
+             and args.kind in ("subword", "slide", "delta-w", "tableau"))
+    if args.format == "json" and render:
+        raise ParseError("--format json does not apply to `pipedreams render`", 0)
+    if args.format == "svg" and not (render or drawn):
+        raise ParseError("--format svg applies only to `pipedreams render` and "
+                         "`complex subword|slide|delta-w|tableau` without --classify", 0)
+    if args.format == "dot" and not drawn:
+        raise ParseError("--format dot applies only to "
+                         "`complex subword|slide|delta-w|tableau` without --classify", 0)
+
+
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     """The parser of one command line.  Every command is registered with its
     help line, which is all the top-level usage, help and errors print; only
@@ -456,6 +473,7 @@ def main(argv: list[str] | None = None) -> int:
             # --help prints to stdout before argparse exits
             sys.stdout.flush()
             raise
+        _check_format(args)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -650,22 +650,6 @@ def compatible_sequences(word: Sequence[int], lower_bound: int = 1) -> tuple[Wor
     return tuple(results)
 
 
-def is_compatible(word: Sequence[int], seq: Sequence[int], lower_bound: int | None = None) -> bool:
-    if len(word) != len(seq):
-        return False
-    for k in range(len(word)):
-        if seq[k] > word[k]:
-            return False
-        if lower_bound is not None and seq[k] < lower_bound:
-            return False
-        if k + 1 < len(word):
-            if seq[k] > seq[k + 1]:
-                return False
-            if word[k] < word[k + 1] and seq[k] >= seq[k + 1]:
-                return False
-    return True
-
-
 def symmetric_group(n: int, lo: int = 1) -> Iterator[Permutation]:
     """All permutations of the window lo..lo+n-1."""
     for images in itertools.permutations(range(lo, lo + n)):

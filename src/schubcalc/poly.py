@@ -67,7 +67,7 @@ class Polynomial:
 
     @staticmethod
     def monomial(exponents: Mapping[int, int], coeff: int = 1) -> "Polynomial":
-        key = tuple(sorted((i, e) for i, e in exponents.items() if e))
+        key = _monomial(exponents)
         if any(e < 0 for _, e in key):
             raise ValueError("exponents must be non-negative")
         return Polynomial({key: coeff})
@@ -115,8 +115,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def coefficient(self, exponents: Mapping[int, int]) -> int:
-        key = tuple(sorted((i, e) for i, e in exponents.items() if e))
-        return self.terms.get(key, 0)
+        return self.terms.get(_monomial(exponents), 0)
 
     def lowest_degree_part(self) -> "Polynomial":
         if not self.terms:
@@ -168,8 +167,15 @@ class Polynomial:
 
     @staticmethod
     def from_json(data: list[dict]) -> "Polynomial":
-        return _collect((tuple(sorted((int(i), int(e)) for i, e in term["exponents"].items())),
-                         int(term["coeff"])) for term in data)
+        return Polynomial.sum(
+            Polynomial.monomial({int(i): int(e) for i, e in term["exponents"].items()},
+                                int(term["coeff"])) for term in data)
+
+
+def _monomial(exponents: Mapping[int, int]) -> Monomial:
+    """The key of x^exponents: its (index, exponent) pairs, sorted, with the
+    zero exponents dropped."""
+    return tuple(sorted((i, e) for i, e in exponents.items() if e))
 
 
 def _collect(pairs: Iterable[tuple[Monomial, int]]) -> Polynomial:
@@ -260,10 +266,10 @@ def slide_of_word(word: Word) -> Polynomial:
     """Slide polynomial of the weight of the quasi-Yamanouchi pipe dream with
     the given reading word; zero when no such pipe dream exists.
     """
-    dream = pipedreams.quasi_yamanouchi_for_word(word)
-    if dream is None:
-        return Polynomial.zero()
-    return slide(dream.weight())
+    if not perms.is_reduced(word):
+        raise ValueError("expected a reduced word")
+    rows = pipedreams._top_rows(word)
+    return Polynomial.zero() if rows is None else slide(shapes._tally(rows))
 
 
 def glide(shape: Shape) -> Polynomial:
@@ -284,12 +290,13 @@ def _glide_terms(shape: Shape) -> tuple[tuple[Monomial, int], ...]:
 def glide_of_word(word: Word) -> Polynomial:
     """Glide polynomial of the weight of the quasi-Yamanouchi pipe dream with
     the given (not necessarily reduced) reading word; zero when none exists.
-    That dream, when there is one, has the greatest compatible rows.
+    That dream, when there is one, has the greatest compatible rows, whose
+    dream is quasi-Yamanouchi unless two adjacent letters are equal.
     """
-    dream = pipedreams._top_rows_dream(word)
-    if dream is None or not pipedreams.is_quasi_yamanouchi(dream):
+    rows = pipedreams._top_rows(word)
+    if rows is None or any(a == b for a, b in zip(word, word[1:])):
         return Polynomial.zero()
-    return glide(dream.weight())
+    return glide(shapes._tally(rows))
 
 
 def backstable_truncation(p: Permutation, lowest_index: int) -> Polynomial:

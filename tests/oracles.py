@@ -61,6 +61,9 @@ code they check:
   `rightmost_subword`, against the one-pass
   `shuffles._check_unmarked_subword`;
 - `demazure_step` is one letter of the Demazure product on a `Permutation`;
+- `is_compatible` checks a row sequence against a word entry by entry, and
+  `from_word_and_rows_by_compatibility` builds a dream only from compatible
+  rows, against the reading-order check of `pipedreams.from_word_and_rows`;
 - `quasi_yamanouchi_for_word_by_sequences` tries every positive compatible
   sequence of a reduced word, and `glide_of_word_by_filter` filters every
   pipe dream of the word's Demazure product, against the greatest-rows
@@ -114,6 +117,38 @@ def reduced_pipe_dreams_by_moves(p, n=None):
                 seen.add(neighbour)
                 frontier.append(neighbour)
     return frozenset(seen)
+
+
+def is_compatible(word, seq, lower_bound=None):
+    """seq is weakly increasing, at most the word entrywise and at least
+    lower_bound, and strictly increasing at every ascent of the word."""
+    if len(word) != len(seq):
+        return False
+    for k in range(len(word)):
+        if seq[k] > word[k]:
+            return False
+        if lower_bound is not None and seq[k] < lower_bound:
+            return False
+        if k + 1 < len(word):
+            if seq[k] > seq[k + 1]:
+                return False
+            if word[k] < word[k + 1] and seq[k] >= seq[k + 1]:
+                return False
+    return True
+
+
+def from_word_and_rows_by_compatibility(word, rows, n):
+    """The dream with cross (r, a - r + 1) for letter a in row r, when the rows
+    are compatible with the word (entries at least 1) and the crosses are
+    distinct, lie in the staircase of size n and read the word back; None
+    otherwise."""
+    if not is_compatible(word, rows, lower_bound=1):
+        return None
+    crosses = frozenset((r, a - r + 1) for a, r in zip(word, rows))
+    if len(crosses) != len(word) or any(r + c > n for r, c in crosses):
+        return None
+    dream = PipeDream(n, crosses)
+    return dream if dream.reading_word() == tuple(word) else None
 
 
 def quasi_yamanouchi_for_word_by_sequences(word):

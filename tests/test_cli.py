@@ -99,7 +99,8 @@ def test_shuffle_verify_monk_ignores_k(capsys):
 
 
 # stdout, stderr and exit code of cli.main with COLUMNS=80: every --help, usage
-# errors, and the benchmark's commands in three --format placements
+# errors, and the benchmark's commands in three --format placements; and --format
+# values a command does not render, before and after it
 GOLDEN = json.loads((Path(__file__).resolve().parent / "cli_golden.json").read_text())
 
 

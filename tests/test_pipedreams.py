@@ -26,6 +26,7 @@ from schubcalc.pipedreams import (
 
 from oracles import (
     demazure_step,
+    from_word_and_rows_by_compatibility,
     quasi_yamanouchi_for_word_by_sequences,
     reduced_pipe_dreams_by_moves,
     scan_pipe_dreams,
@@ -43,6 +44,30 @@ def test_from_word_and_rows_rejects_bad_input():
         from_word_and_rows((1, 1), (1, 1), 4)  # duplicate cross
     with pytest.raises(ValueError):
         from_word_and_rows((3,), (1,), 3)  # cross (1, 3) outside the staircase
+    with pytest.raises(ValueError):
+        from_word_and_rows((2, 1), (1,), 4)  # lengths differ
+    with pytest.raises(ValueError):
+        from_word_and_rows((), (1,), 4)
+
+
+def test_from_word_and_rows_matches_compatibility():
+    """Crosses in the staircase, distinct and read back in order are the
+    compatible rows: the same accept/reject and the same dream as the
+    entry-by-entry compatibility check, on every word and row sequence with
+    entries -1..4 and length at most 3, for n in {2, 4, 5}."""
+    accepted = 0
+    for n in (2, 4, 5):
+        for length in range(4):
+            for word in itertools.product(range(-1, 5), repeat=length):
+                for rows in itertools.product(range(-1, 5), repeat=length):
+                    try:
+                        got = from_word_and_rows(word, rows, n)
+                    except ValueError:
+                        got = None
+                    assert got == from_word_and_rows_by_compatibility(word, rows, n), \
+                        (word, rows, n)
+                    accepted += got is not None
+    assert accepted == 220
 
 
 def test_bijection_roundtrip_s4():

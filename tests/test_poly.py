@@ -170,6 +170,17 @@ def test_printing_and_json():
     assert Polynomial.from_json(p.to_json()) == p
 
 
+def test_from_json_builds_canonical_monomials():
+    """from_json keys its monomials as Polynomial.monomial does: a zero
+    exponent is dropped and a negative one is refused by both."""
+    assert Polynomial.from_json([{"exponents": {"1": 0}, "coeff": 1}]) == Polynomial.one()
+    assert Polynomial.from_json([{"exponents": {"1": 0, "2": 1}, "coeff": 3}]) == mono({2: 1}, 3)
+    with pytest.raises(ValueError):
+        Polynomial.from_json([{"exponents": {"1": -2}, "coeff": 1}])
+    with pytest.raises(ValueError):
+        Polynomial.monomial({1: -2})
+
+
 @settings(max_examples=100, deadline=None)
 @given(_term_dicts)
 def test_json_round_trip(terms):
@@ -488,6 +499,11 @@ def test_glide_of_word():
     assert glide_of_word((1, 2, 1)) == Polynomial.zero()
     # no pipe dream reads a letter below 1, as for slide_of_word
     assert glide_of_word((1, 0)) == slide_of_word((1, 0)) == Polynomial.zero()
+    # two equal adjacent letters: the greatest rows put the pair in adjacent
+    # rows, the upper one's leftmost cross right of every cross below it
+    for text in ("11", "2332", "1221"):
+        word = parse_word(text)
+        assert glide_of_word(word) == glide_of_word_by_filter(word) == Polynomial.zero()
     for p in [parse_permutation("[1432]"), parse_permutation("[321]")]:
         for dream in pipedreams.quasi_yamanouchi_pipe_dreams(p, reduced_only=False):
             assert glide_of_word(dream.reading_word()) == glide(dream.weight())
