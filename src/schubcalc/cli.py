@@ -102,35 +102,28 @@ def _cmd_poly(args) -> int:
 # -- expand --------------------------------------------------------------
 
 
-def _expand_slides(args):
-    items = sorted(poly.expand_schubert_into_slides(perms.parse_permutation(args.arg)).items())
-    return ("\n".join(f"{perms.format_word(w)}: {p}" for w, p in items),
-            [{"word": list(w), "polynomial": p.to_json()} for w, p in items])
-
-
-def _expand_fqs(args):
-    items = sorted(poly.expand_schur_into_fundamentals(_parse_shape(args.arg), args.vars).items())
-    return ("\n".join(f"{shapes.tableau_to_json(t)}: {p}" for t, p in items),
-            [{"tableau": shapes.tableau_to_json(t), "polynomial": p.to_json()} for t, p in items])
-
-
-def _expand_glides(args):
-    expansion = poly.expand_grothendieck_into_glides(perms.parse_permutation(args.arg))
-    items = sorted(expansion.items(), key=lambda kv: kv[0].sorted_crosses())
-    return ("\n".join(f"{list(d.sorted_crosses())}: {p}" for d, p in items),
-            [{"pipe_dream": pipedreams.to_json(d), "polynomial": p.to_json()} for d, p in items])
-
-
+# rule -> (its expansion of args; for an index of that expansion, its sort
+# key, its text, its JSON field and its JSON value)
 _EXPAND_RULES = {
-    "schubert-slides": _expand_slides,
-    "schur-fqs": _expand_fqs,
-    "groth-glides": _expand_glides,
+    "schubert-slides": (
+        lambda args: poly.expand_schubert_into_slides(perms.parse_permutation(args.arg)),
+        lambda word: word, perms.format_word, "word", list),
+    "schur-fqs": (
+        lambda args: poly.expand_schur_into_fundamentals(_parse_shape(args.arg), args.vars),
+        lambda tableau: tableau, lambda tableau: str(shapes.tableau_to_json(tableau)),
+        "tableau", shapes.tableau_to_json),
+    "groth-glides": (
+        lambda args: poly.expand_grothendieck_into_glides(perms.parse_permutation(args.arg)),
+        pipedreams.PipeDream.sorted_crosses, lambda dream: str(list(dream.sorted_crosses())),
+        "pipe_dream", pipedreams.to_json),
 }
 
 
 def _cmd_expand(args) -> int:
-    text, data = _EXPAND_RULES[args.rule](args)
-    _emit(args, text, data)
+    expand, key, text, field, value = _EXPAND_RULES[args.rule]
+    items = sorted(expand(args).items(), key=lambda item: key(item[0]))
+    _emit(args, "\n".join(f"{text(index)}: {p}" for index, p in items),
+          [{field: value(index), "polynomial": p.to_json()} for index, p in items])
     return 0
 
 

@@ -627,7 +627,7 @@ def to_dot(complex_: SimplicialComplex, labels: dict | None = None) -> str:
     return "\n".join(lines)
 
 
-def to_svg(complex_: SimplicialComplex, labels: dict | None = None, radius: int = 120) -> str:
+def to_svg(complex_: SimplicialComplex, labels: dict | None = None) -> str:
     """Vertices on a circle, edges as lines, triangles shaded."""
     import math
 
@@ -637,6 +637,7 @@ def to_svg(complex_: SimplicialComplex, labels: dict | None = None, radius: int 
         raise ValueError("svg output is for complexes of dimension at most 2")
     labels = labels or {}
     verts = list(complex_.vertices)
+    radius = 120
     side = 2 * radius + 60
     centre = side / 2
     pos = {}

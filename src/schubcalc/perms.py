@@ -61,6 +61,14 @@ class Record:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    @classmethod
+    def _trusted(cls, *values):
+        """A record of field values known to pass the checks of __init__, unchecked."""
+        record = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            _set(record, name, value)
+        return record
+
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
 
@@ -139,7 +147,7 @@ class Permutation(Record):
     @staticmethod
     def simple(i: int) -> "Permutation":
         """The adjacent transposition s_i, swapping i and i+1."""
-        return Permutation(i, (i + 1, i))
+        return Permutation._trusted(i, (i + 1, i))
 
     @staticmethod
     def transposition(a: int, b: int) -> "Permutation":
@@ -202,14 +210,6 @@ class Permutation(Record):
         """Positions i with self(i) > self(i+1); these stay inside the window."""
         lo, w = self.lo, self.window
         return [lo + i for i in range(len(w) - 1) if w[i] > w[i + 1]]
-
-    def right_mul_simple(self, i: int) -> "Permutation":
-        """self * s_i, swapping the images of i and i+1."""
-        lo = min(self.lo, i)
-        hi = max(self.lo + len(self.window) - 1, i + 1) if self.window else i + 1
-        images = list(self(k) for k in range(lo, hi + 1))
-        images[i - lo], images[i + 1 - lo] = images[i + 1 - lo], images[i - lo]
-        return Permutation._trusted(lo, tuple(images))
 
     def __repr__(self) -> str:
         return f"Permutation({format_permutation(self)!r})"
@@ -279,26 +279,32 @@ def parse_permutation(text: str) -> Permutation:
             lo = int(rest[1:])
         except ValueError:
             raise ParseError("bad window offset", close + 2) from None
-    if "," in body:
-        parts = body.split(",")
-        values = []
-        offset = 1
-        for part in parts:
-            try:
-                values.append(int(part))
-            except ValueError:
-                raise ParseError(f"bad entry {part!r}", offset) from None
-            offset += len(part) + 1
-    else:
-        values = []
-        for k, ch in enumerate(body):
-            if not ch.isdigit():
-                raise ParseError(f"bad digit {ch!r}", 1 + k)
-            values.append(int(ch))
+    values = _integers(body, 1, "entry") if "," in body else _digits(body, 1)
     try:
         return Permutation.from_one_line(values, lo=lo)
     except ValueError as exc:
         raise ParseError(str(exc), 1) from None
+
+
+def _integers(body: str, start: int, noun: str) -> list[int]:
+    """The comma-separated integers of body, which begins at index start of
+    the text parsed; a bad one is reported as a bad `noun`."""
+    values = []
+    for part in body.split(","):
+        try:
+            values.append(int(part))
+        except ValueError:
+            raise ParseError(f"bad {noun} {part!r}", start) from None
+        start += len(part) + 1
+    return values
+
+
+def _digits(body: str, start: int) -> list[int]:
+    """The digits of body, which begins at index start of the text parsed."""
+    for k, ch in enumerate(body):
+        if not ch.isdigit():
+            raise ParseError(f"bad digit {ch!r}", start + k)
+    return [int(ch) for ch in body]
 
 
 def format_word(word: Sequence[int]) -> str:
@@ -321,19 +327,8 @@ def parse_word(text: str) -> Word:
     if not s:
         return ()
     if "," in s or "-" in s:
-        letters = []
-        offset = 0
-        for part in s.removesuffix(",").split(","):
-            try:
-                letters.append(int(part))
-            except ValueError:
-                raise ParseError(f"bad letter {part!r}", offset) from None
-            offset += len(part) + 1
-        return tuple(letters)
-    for k, ch in enumerate(s):
-        if not ch.isdigit():
-            raise ParseError(f"bad digit {ch!r}", k)
-    return tuple(int(ch) for ch in s)
+        return tuple(_integers(s.removesuffix(","), 0, "letter"))
+    return tuple(_digits(s, 0))
 
 
 def prod_word(word: Sequence[int]) -> Permutation:
@@ -421,7 +416,7 @@ def _reduced_words(p: Permutation) -> tuple[Word, ...]:
     if p.is_identity():
         return ((),)
     return tuple(sorted(w + (i,) for i in p.descents()
-                        for w in _reduced_words(p.right_mul_simple(i))))
+                        for w in _reduced_words(p * Permutation.simple(i))))
 
 
 def lehmer_code(p: Permutation) -> tuple[int, ...]:

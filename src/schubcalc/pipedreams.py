@@ -50,14 +50,6 @@ class PipeDream(Record):
         return hash((self.n, self.crosses))
 
     @staticmethod
-    def _trusted(n: int, crosses: frozenset[tuple[int, int]]) -> "PipeDream":
-        """A dream whose crosses are known to lie in the staircase, unchecked."""
-        dream = object.__new__(PipeDream)
-        _set(dream, "n", n)
-        _set(dream, "crosses", crosses)
-        return dream
-
-    @staticmethod
     def empty(n: int) -> "PipeDream":
         return PipeDream(n, frozenset())
 
@@ -381,9 +373,9 @@ def render_ascii(dream: PipeDream) -> str:
     return "\n".join(lines)
 
 
-def render_svg(dream: PipeDream, cell: int = 24) -> str:
+def render_svg(dream: PipeDream) -> str:
     """Minimal SVG: staircase cells outlined, crosses drawn as two bars."""
-    n = dream.n
+    n, cell = dream.n, 24
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{n * cell}" height="{n * cell}" '
              f'viewBox="0 0 {n * cell} {n * cell}">']
     for r in range(1, n + 1):

@@ -167,9 +167,15 @@ class Polynomial:
 
     @staticmethod
     def from_json(data: list[dict]) -> "Polynomial":
-        return Polynomial.sum(
-            Polynomial.monomial({int(i): int(e) for i, e in term["exponents"].items()},
-                                int(term["coeff"])) for term in data)
+        """The inverse of to_json; an exponent map naming one variable twice,
+        as "1" and "01", is a ValueError."""
+        terms = []
+        for term in data:
+            exponents = {int(i): int(e) for i, e in term["exponents"].items()}
+            if len(exponents) != len(term["exponents"]):
+                raise ValueError(f"exponents {term['exponents']!r} name a variable twice")
+            terms.append(Polynomial.monomial(exponents, int(term["coeff"])))
+        return Polynomial.sum(terms)
 
 
 def _monomial(exponents: Mapping[int, int]) -> Monomial:

@@ -152,10 +152,12 @@ def enumerate_tableaux(family: str, shape: Shape, n: int) -> tuple[Tableau, ...]
     """All tableaux of the family on the shape with entries at most n.
 
     The shape kind must match the family: partition for syt/ssyt, composition
-    for ct, weak composition for wct.
+    for ct, weak composition for wct; n must be at least 0.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    if n < 0:
+        raise ValueError(f"the number of variables must be at least 0, not {n}")
     if family in ("syt", "ssyt") and not is_partition(shape):
         raise ValueError(f"{family} needs a partition shape, got {shape!r}")
     if family == "ct" and not is_composition(shape):

@@ -66,15 +66,6 @@ class MarkedWord(Record):
         _set(self, "slots", slots)
         _set(self, "marks", marks)
 
-    @staticmethod
-    def _trusted(slots: tuple, marks: tuple) -> "MarkedWord":
-        """A marked word from slots and marks known to pass the checks of
-        __init__, unchecked."""
-        marked = object.__new__(MarkedWord)
-        _set(marked, "slots", slots)
-        _set(marked, "marks", marks)
-        return marked
-
     def word_and_positions(self) -> tuple[Word, tuple[int, ...]]:
         """Finite letters in order, plus the 1-based INF positions."""
         word, positions = [], []
@@ -369,12 +360,10 @@ def pieri_shuffle(i: int, word: Sequence[int] | MarkedWord,
     if isinstance(word, MarkedWord):
         if any(a != INF and m is not None for a, m in zip(word.slots, word.marks)):
             raise ValueError("only INF slots may be marked on input")
-        base_word, positions = word.word_and_positions()
-        slots, marks = list(word.slots), list(word.marks)
-    else:
-        positions = positions or ()
-        slots, marks = _padded(word, positions)
-        base_word = tuple(word)
+        word, positions = word.word_and_positions()
+    positions = positions or ()
+    slots, marks = _padded(word, positions)
+    base_word = tuple(word)
     down = set(positions)
     j = max(down, default=0)
     lo, top, labels = _window(base_word, len(slots), i)

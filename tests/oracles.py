@@ -204,7 +204,7 @@ def grothendieck_by_divided_differences(n):
         below = []
         for w in layer:
             for i in w.descents():
-                v = w.right_mul_simple(i)
+                v = w * Permutation.simple(i)
                 if v not in out:
                     out[v] = isobaric_divided_difference(out[w], i)
                     below.append(v)
@@ -553,7 +553,7 @@ def boundary_faces_by_combinations(complex_):
 def demazure_step(p, letter):
     """One letter of the Demazure product."""
     if p(letter) < p(letter + 1):
-        return p.right_mul_simple(letter)
+        return p * Permutation.simple(letter)
     return p
 
 
@@ -596,7 +596,7 @@ def rightmost_subword_by_right_mul(ambient, p):
         if letter is None or letter == INF:
             continue
         if remaining(letter) > remaining(letter + 1):
-            remaining = remaining.right_mul_simple(letter)
+            remaining = remaining * Permutation.simple(letter)
             chosen.append(pos)
     if not remaining.is_identity():
         raise ValueError("ambient word does not contain the permutation")

@@ -99,8 +99,9 @@ def test_shuffle_verify_monk_ignores_k(capsys):
 
 
 # stdout, stderr and exit code of cli.main with COLUMNS=80: every --help, usage
-# errors, and the benchmark's commands in three --format placements; and --format
-# values a command does not render, before and after it
+# errors, and the benchmark's commands in three --format placements; --format
+# values a command does not render, before and after it; each expand rule in text
+# and JSON; and a negative --vars
 GOLDEN = json.loads((Path(__file__).resolve().parent / "cli_golden.json").read_text())
 
 

@@ -451,6 +451,18 @@ def test_tableau_complex_column_shape():
     assert single.facets == frozenset({frozenset()})
 
 
+@pytest.mark.parametrize("build", [
+    lambda shape, n: tableau_complex("ssyt", shape, n),
+    lambda shape, n: tableau_complex("wct", shape, n),
+    lambda shape, n: interior_faces("ct", shape, n),
+    ssyt_standardization_decomposition,
+])
+def test_negative_variable_count_rejected(build):
+    for shape in ((2, 1), ()):
+        with pytest.raises(ValueError, match="at least 0, not -2"):
+            build(shape, -2)
+
+
 def test_syt_complex_is_neither():
     c = tableau_complex("syt", (2, 1), 3)
     assert len(c.facets) == 2

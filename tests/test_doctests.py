@@ -1,8 +1,14 @@
+import ast
 import doctest
+import re
+from pathlib import Path
 
 import pytest
 
+import schubcalc
 from schubcalc import complexes, perms, pipedreams, poly, selftest, shapes, shuffles
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("module", [perms, shapes, pipedreams, poly, complexes,
@@ -20,3 +26,20 @@ def test_selftest_check(check):
     prod_word, demazure, reduced_words, compatible_sequences, tau,
     schubert, cross_labels and monk_shuffle."""
     check()
+
+
+def test_public_names_without_a_caller_are_in_the_readme():
+    """Each name of schubcalc.__all__ that no code in src/ or perfbench/
+    refers to, by an AST scan, is named in the README's section "Public
+    functions the package does not call", which gives it a user."""
+    used = set()
+    for path in [*(ROOT / "src" / "schubcalc").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Public functions the package does not call\n")[1].split("\n## ")[0]
+    uncalled = {name for name in schubcalc.__all__ if name not in used}
+    assert uncalled and uncalled <= set(re.findall(r"`(\w+)`", section))

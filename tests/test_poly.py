@@ -181,6 +181,13 @@ def test_from_json_builds_canonical_monomials():
         Polynomial.monomial({1: -2})
 
 
+def test_from_json_rejects_a_variable_named_twice():
+    with pytest.raises(ValueError, match="name a variable twice"):
+        Polynomial.from_json([{"exponents": {"1": 1, "01": 2}, "coeff": 1}])
+    with pytest.raises(ValueError, match="name a variable twice"):
+        Polynomial.from_json([{"exponents": {"2": 1, " 2": 0}, "coeff": 1}])
+
+
 @settings(max_examples=100, deadline=None)
 @given(_term_dicts)
 def test_json_round_trip(terms):
@@ -252,6 +259,14 @@ def test_schur_examples():
     s21 = schur((2, 1), 3)
     assert sum(s21.terms.values()) == 8
     assert s21.coefficient({1: 1, 2: 1, 3: 1}) == 2
+
+
+@pytest.mark.parametrize("build", [schur, fundamental_quasisymmetric,
+                                   expand_schur_into_fundamentals])
+def test_negative_variable_count_rejected(build):
+    for shape in ((2, 1), ()):
+        with pytest.raises(ValueError, match="at least 0, not -1"):
+            build(shape, -1)
 
 
 def test_schur_symmetry():

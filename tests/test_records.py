@@ -82,5 +82,4 @@ def test_normalised_permutations_are_one_key():
     p = Permutation(1, (3, 1, 2))
     assert {p: 1}[Permutation(0, (0, 3, 1, 2))] == 1
     assert p * p.inverse() == Permutation.identity() == p.inverse() * p
-    assert p.right_mul_simple(1) == p * Permutation.simple(1)
     assert p.length == 2 and p.length == 2

@@ -84,6 +84,17 @@ def test_tableau_counts():
     assert enumerate_tableaux("ssyt", (), 3) == ((),)
 
 
+@pytest.mark.parametrize("family", shapes.FAMILIES)
+def test_variable_count_is_at_least_zero(family):
+    """n = 0 leaves the empty tableau of the empty shape; a negative n is a
+    domain error, not an empty answer."""
+    assert enumerate_tableaux(family, (), 0) == ((),)
+    assert enumerate_tableaux(family, (1,), 0) == ()
+    for shape in ((), (1,)):
+        with pytest.raises(ValueError, match="at least 0, not -1"):
+            enumerate_tableaux(family, shape, -1)
+
+
 def _fillings(shape, choices):
     """Every filling of the shape with one of the choices per box, in
     lexicographic order of the reading word."""
