@@ -276,7 +276,7 @@ def parse_permutation(text: str) -> Permutation:
         if not rest.startswith("@"):
             raise ParseError("unexpected text after ']'", close + 1)
         try:
-            lo = int(rest[1:])
+            lo = _ascii_int(rest[1:])
         except ValueError:
             raise ParseError("bad window offset", close + 2) from None
     values = _integers(body, 1, "entry") if "," in body else _digits(body, 1)
@@ -292,17 +292,26 @@ def _integers(body: str, start: int, noun: str) -> list[int]:
     values = []
     for part in body.split(","):
         try:
-            values.append(int(part))
+            values.append(_ascii_int(part))
         except ValueError:
             raise ParseError(f"bad {noun} {part!r}", start) from None
         start += len(part) + 1
     return values
 
 
+def _ascii_int(text: str) -> int:
+    """int(text) for ASCII text only: int alone also reads the digits and
+    spaces of other scripts, so an Arabic-Indic three would read as 3."""
+    if not text.isascii():
+        raise ValueError(text)
+    return int(text)
+
+
 def _digits(body: str, start: int) -> list[int]:
-    """The digits of body, which begins at index start of the text parsed."""
+    """The ASCII digits 0-9 of body, which begins at index start of the text
+    parsed."""
     for k, ch in enumerate(body):
-        if not ch.isdigit():
+        if not "0" <= ch <= "9":
             raise ParseError(f"bad digit {ch!r}", start + k)
     return [int(ch) for ch in body]
 
@@ -392,11 +401,13 @@ def demazure(word: Sequence[int]) -> Permutation:
     return Permutation._trusted(lo, tuple(images))
 
 
-# The one memo of the library's recursions (reduced words here, the vertex-
-# decomposition search and backwards saturation in complexes): bounded, so no
-# run of inputs grows a process-global cache without limit, and more than ten
-# times the ~5,000 entries the largest documented inputs fill, so it does not
-# evict on them.  Hits, misses and size come from each function's cache_info().
+# The one memo of the library (reduced words here, the vertex-decomposition
+# search and backwards saturation in complexes, and in poly the Schubert and
+# Grothendieck terms by permutation and the Schur, fundamental, slide and glide
+# terms by shape): bounded, so no run of inputs grows a process-global cache
+# without limit, and more than ten times the ~5,000 entries the largest
+# documented inputs fill, so it does not evict on them.  The bound counts
+# entries, not bytes.  Hits, misses and size come from each cache_info().
 _memo = lru_cache(maxsize=1 << 16)
 
 

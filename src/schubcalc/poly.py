@@ -227,19 +227,27 @@ def schubert(p: Permutation) -> Polynomial:
     """Sum of x^weight over the reduced pipe dreams for p, counted by the
     merged-state pass (Fomin-Kirillov, 1996), each weight's code decoded
     straight into its monomial: no two codes meet, so no term cancels.
+    The terms are memoised per permutation, as for the tableau families, and
+    every call returns a fresh Polynomial.
 
     >>> str(schubert(perms.parse_permutation("[321]")))
     'x_1^2 x_2'
     """
-    return Polynomial._trusted(pipedreams.weight_terms(p, max_excess=0))
+    return Polynomial._trusted(dict(_dream_terms(p, 0)))
 
 
 def grothendieck(p: Permutation) -> Polynomial:
     """Signed sum of x^weight over all pipe dreams for p, the sign being
     (-1)^excess, as for schubert (Fomin-Kirillov, 1994): a state of the pass
     fixes the length, so a weight there fixes the excess and no term cancels.
+    Memoised per permutation, like schubert.
     """
-    return Polynomial._trusted(pipedreams.weight_terms(p))
+    return Polynomial._trusted(dict(_dream_terms(p, None)))
+
+
+@perms._memo
+def _dream_terms(p: Permutation, max_excess: int | None) -> tuple[tuple[Monomial, int], ...]:
+    return tuple(pipedreams.weight_terms(p, max_excess).items())
 
 
 def schur(shape: Shape, n: int) -> Polynomial:
@@ -320,6 +328,8 @@ def backstable_truncation(p: Permutation, lowest_index: int) -> Polynomial:
     size (largest moved point) + 1 - L, so a very negative L costs about
     |L|^3: on a 2-vCPU host s_1 takes 0.02-0.04 s at L = -100 and about 0.5 s
     at L = -300, where a sum over its one reduced word takes under 1 ms.
+    A repeated (p, L) costs only the renaming: the shifted schubert call is
+    memoised.
 
     >>> str(backstable_truncation(perms.parse_permutation("[21]"), 0))
     'x_0 + x_1'

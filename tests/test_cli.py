@@ -101,7 +101,8 @@ def test_shuffle_verify_monk_ignores_k(capsys):
 # stdout, stderr and exit code of cli.main with COLUMNS=80: every --help, usage
 # errors, and the benchmark's commands in three --format placements; --format
 # values a command does not render, before and after it; each expand rule in text
-# and JSON; and a negative --vars
+# and JSON; a negative --vars; and words and permutations holding a digit of
+# another script or a superscript digit
 GOLDEN = json.loads((Path(__file__).resolve().parent / "cli_golden.json").read_text())
 
 

@@ -274,6 +274,24 @@ def test_parse_errors_report_positions():
         parse_word("12a")
 
 
+_NON_ASCII_DIGITS = [chr(c) for c in range(128, 0x110000) if chr(c).isdigit()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("0123456789,-@[] ", max_size=6), st.sampled_from(_NON_ASCII_DIGITS),
+       st.text("0123456789,-@[] ", max_size=6))
+@example("1", "\u0663", "")
+@example("[2,", "\u0663", ",1]")
+@example("[1", "\u00b2", "]")
+@example("[21]@", "\u0663", "")
+def test_parsers_reject_non_ascii_digits(before, digit, after):
+    """int() and str.isdigit accept the digits of other scripts and
+    superscripts; the parsers take only 0-9."""
+    for parse in (parse_permutation, parse_word):
+        with pytest.raises(perms.ParseError):
+            parse(before + digit + after)
+
+
 def test_format_and_parse_words():
     assert format_word((3, 2, 1, 2)) == "3212"
     assert format_word((5, -1, 3)) == "5,-1,3"

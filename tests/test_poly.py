@@ -390,11 +390,16 @@ def test_glide_two_routes_agree():
 
 
 def test_slide_glide_and_fundamental_memos():
-    """Each composition is computed once per process; every call still
+    """Each composition, and each permutation of the Schubert, Grothendieck
+    and back-stable families, is computed once per process; every call still
     returns a fresh Polynomial, so mutating one leaves the memo intact."""
+    p = parse_permutation("[1432]")
     memos = ((lambda: slide((0, 2, 1)), poly._tableau_terms),
              (lambda: glide((0, 2, 1)), poly._glide_terms),
-             (lambda: fundamental_quasisymmetric((2, 1), 3), poly._tableau_terms))
+             (lambda: fundamental_quasisymmetric((2, 1), 3), poly._tableau_terms),
+             (lambda: schubert(p), poly._dream_terms),
+             (lambda: grothendieck(p), poly._dream_terms),
+             (lambda: backstable_truncation(p, -1), poly._dream_terms))
     for call, memo in memos:
         assert memo.cache_info().maxsize == perms._reduced_words.cache_info().maxsize
         first = call()
@@ -406,6 +411,22 @@ def test_slide_glide_and_fundamental_memos():
         first.terms.clear()
         second.terms[((1, 1),)] = 7
         assert call().terms == expected
+
+
+def test_dream_memo_equals_the_uncached_pass():
+    """The memoised Schubert and Grothendieck terms are weight_terms', term
+    order included, before cache_clear() and after it, cold and then warm."""
+    def check_all():
+        for n in range(1, 6):
+            for p in symmetric_group(n):
+                assert list(schubert(p).terms.items()) == \
+                    list(pipedreams.weight_terms(p, max_excess=0).items())
+                assert list(grothendieck(p).terms.items()) == list(pipedreams.weight_terms(p).items())
+
+    check_all()
+    poly._dream_terms.cache_clear()
+    check_all()
+    check_all()
 
 
 def test_glide_lowest_degree_is_slide():
