@@ -19,14 +19,24 @@ from . import complexes, perms, pipedreams, poly, shapes, shuffles
 from .perms import ParseError
 
 
+def _int(text: str) -> int:
+    """An integer option, ASCII digits only, as perms reads a permutation."""
+    return perms._ascii_int(text)
+
+
+_int.__name__ = "int"  # argparse names the type in "invalid int value"
+
+
+def _parse_integers(text: str, noun: str) -> tuple[int, ...]:
+    try:
+        return tuple(map(perms._ascii_int, text.split(",")))
+    except ValueError as exc:
+        raise ParseError(f"bad {noun} {text!r}", 0) from exc
+
+
 def _parse_shape(text: str) -> tuple[int, ...]:
     text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ParseError(f"bad shape {text!r}", 0) from exc
+    return _parse_integers(text, "shape") if text else ()
 
 
 def _require(args, name: str, flag: str | None = None):
@@ -242,16 +252,9 @@ def _cmd_complex(args) -> int:
 # -- shuffle -------------------------------------------------------------
 
 
-def _parse_positions(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise ParseError(f"bad positions {text!r}", 0) from exc
-
-
 def _shuffle_insert(args) -> int:
     """monk and pieri: insert at --pos; with --trace, the steps on stderr."""
-    positions = _parse_positions(_require(args, "pos", "--pos"))
+    positions = _parse_integers(_require(args, "pos", "--pos"), "positions")
     monk = args.action == "monk"
     if monk and len(positions) != 1:
         raise ParseError("monk insertion takes one position", 0)
@@ -350,22 +353,22 @@ def _perm_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("action", choices=tuple(_PERM_ACTIONS))
     p.add_argument("perm", nargs="?", help="bracketed one-line notation")
     p.add_argument("--word", help="word argument for demazure")
-    p.add_argument("--power", type=int, default=1)
+    p.add_argument("--power", type=_int, default=1)
     p.set_defaults(func=_cmd_perm)
 
 
 def _poly_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("family", choices=tuple(_POLY_FAMILIES))
     p.add_argument("arg", help="permutation or comma-separated shape")
-    p.add_argument("--vars", type=int, default=3, help="number of variables")
-    p.add_argument("--lower-bound", type=int, default=1, dest="lower_bound")
+    p.add_argument("--vars", type=_int, default=3, help="number of variables")
+    p.add_argument("--lower-bound", type=_int, default=1, dest="lower_bound")
     p.set_defaults(func=_cmd_poly)
 
 
 def _expand_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("rule", choices=tuple(_EXPAND_RULES))
     p.add_argument("arg")
-    p.add_argument("--vars", type=int, default=3)
+    p.add_argument("--vars", type=_int, default=3)
     p.set_defaults(func=_cmd_expand)
 
 
@@ -373,7 +376,7 @@ def _pipedreams_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("action", choices=tuple(_DREAM_POOLS))
     p.add_argument("perm")
     p.add_argument("--all", action="store_true", help="include non-reduced pipe dreams")
-    p.add_argument("--max-excess", type=int, default=None, dest="max_excess")
+    p.add_argument("--max-excess", type=_int, default=None, dest="max_excess")
     p.set_defaults(func=_cmd_pipedreams)
 
 
@@ -386,19 +389,19 @@ def _complex_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--words", help="semicolon-separated word set for delta-w")
     p.add_argument("--family", choices=shapes.FAMILIES, default="ssyt")
     p.add_argument("--shape", help="comma-separated shape")
-    p.add_argument("--vars", type=int, default=3)
+    p.add_argument("--vars", type=_int, default=3)
     p.add_argument("--classify", action="store_true")
     p.set_defaults(func=_cmd_complex)
 
 
 def _shuffle_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("action", choices=tuple(_SHUFFLE_ACTIONS))
-    p.add_argument("--i", type=int, required=False, default=1)
+    p.add_argument("--i", type=_int, required=False, default=1)
     p.add_argument("--word", required=False)
     p.add_argument("--pos", help="position (monk) or comma-separated positions (pieri)")
     p.add_argument("--perm", help="source permutation for the inverses / verify")
     p.add_argument("--variant", choices=("c", "r"), default="c")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_int, default=1)
     p.add_argument("--rule", choices=("monk", "pieri-c", "pieri-r"), default="monk")
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=_cmd_shuffle)

@@ -282,8 +282,8 @@ def slide_of_word(word: Word) -> Polynomial:
     """
     if not perms.is_reduced(word):
         raise ValueError("expected a reduced word")
-    rows = pipedreams._top_rows(word)
-    return Polynomial.zero() if rows is None else slide(shapes._tally(rows))
+    weight = pipedreams.quasi_yamanouchi_weight(word)
+    return Polynomial.zero() if weight is None else slide(weight)
 
 
 def glide(shape: Shape) -> Polynomial:
@@ -307,10 +307,10 @@ def glide_of_word(word: Word) -> Polynomial:
     That dream, when there is one, has the greatest compatible rows, whose
     dream is quasi-Yamanouchi unless two adjacent letters are equal.
     """
-    rows = pipedreams._top_rows(word)
-    if rows is None or any(a == b for a, b in zip(word, word[1:])):
+    weight = pipedreams.quasi_yamanouchi_weight(word)
+    if weight is None or any(a == b for a, b in zip(word, word[1:])):
         return Polynomial.zero()
-    return glide(shapes._tally(rows))
+    return glide(weight)
 
 
 def backstable_truncation(p: Permutation, lowest_index: int) -> Polynomial:
@@ -349,14 +349,14 @@ def backstable_truncation(p: Permutation, lowest_index: int) -> Polynomial:
 
 def expand_schubert_into_slides(p: Permutation) -> dict[Word, Polynomial]:
     """Slide polynomial of each reduced word; the values sum to schubert(p).
-    Each weight is read off the word's greatest compatible rows, as in
-    slide_of_word, with no check: the words are reduced.
+    Each weight is the word's quasi_yamanouchi_weight, as in slide_of_word,
+    with no check: the words are reduced.
     """
     pipedreams.ambient_size(p)  # as schubert, raises for a p moving a point below 1
     out = {}
     for word in perms.reduced_words(p):
-        rows = pipedreams._top_rows(word)
-        out[word] = Polynomial.zero() if rows is None else slide(shapes._tally(rows))
+        weight = pipedreams.quasi_yamanouchi_weight(word)
+        out[word] = Polynomial.zero() if weight is None else slide(weight)
     return out
 
 

@@ -122,9 +122,12 @@ def _window(word: Word, size: int, i: int) -> tuple[int, int, list[int]]:
 
     Above top, one more than the highest letter and i, the labels are the
     identity and unflipped, so no search stops there: a falling cross starts
-    at top, and a rising one gives up past it.  A run keeps top above every
-    letter it places, and so above every label it books; as top grows by at
-    most one a step, and a run takes at most size steps, it stays below hi."""
+    at top, and a rising one gives up past it.  An insertion keeps top above
+    every letter it places, and so above every label it books; as top grows
+    by at most one a step, and a run takes at most size steps, it stays
+    below hi.  An extraction never moves top: _rise returns at most top, and
+    a cross at top would need (high, low) labels at heights (top, top + 1),
+    but the label at top + 1 is top + 1, above i and never flipped."""
     finite = (*word, i)
     top = max(finite) + 1
     lo = min(finite) - size - 2
@@ -306,8 +309,6 @@ def monk_unshuffle(i: int, word: Sequence[int], source: Permutation,
             letters[j - 1] = INF
             break
         letters[j - 1] = k
-        if k >= top:
-            top = k + 1
         # the word without j is reduced, so the new cross (high, low) meets
         # its wires again only to the right; carrying the labels rightwards
         # finds it and leaves those of its column
@@ -336,6 +337,14 @@ def monk_unshuffle(i: int, word: Sequence[int], source: Permutation,
 # The book is kept as the set `flipped`: the column variant books the labels
 # x with (x > i) != (x in flipped), the row variant the rest, so x is booked
 # when ((x > i) != (x in flipped)) == column.
+
+
+def _is_column(variant: str) -> bool:
+    """Whether a Pieri variant is the column one, "c", rather than the row
+    one, "r"; any other variant is a ValueError."""
+    if variant not in ("c", "r"):
+        raise ValueError("variant must be 'c' (column) or 'r' (row)")
+    return variant == "c"
 
 
 def _pieri_line(note: str, slots: list, marks: list, down: set[int], i: int,
@@ -374,9 +383,7 @@ def pieri_shuffle(i: int, word: Sequence[int] | MarkedWord,
     # row variant "small" labels, consumed via upper labels.  So a cross
     # swapping (lower, upper) is inserted when only the upper label is
     # booked (column) or only the lower (row), and extracted in reverse.
-    if variant not in ("c", "r"):
-        raise ValueError("variant must be 'c' (column) or 'r' (row)")
-    column = variant == "c"
+    column = _is_column(variant)
     up, flipped = set(), set()
     booked_at: dict[int, int] = {}  # up position -> the label it booked
     claims: dict[int, int] = {}  # bumped position -> the label it holds
@@ -531,9 +538,7 @@ def pieri_unshuffle(i: int, word: Sequence[int], source: Permutation,
     if images != sorted(images) or source.window and not (
             lo <= source.lo and source.lo + len(source.window) <= lo + len(labels)):
         raise ValueError("ambient word does not contain the permutation")
-    if variant not in ("c", "r"):
-        raise ValueError("variant must be 'c' (column) or 'r' (row)")
-    column = variant == "c"
+    column = _is_column(variant)
     up, down, flipped = set(pairs), set(), set()
     for pair in pairs.values():
         x = pair[0 if column else 1]
@@ -579,8 +584,6 @@ def pieri_unshuffle(i: int, word: Sequence[int], source: Permutation,
             slots[j - 1] = INF
         else:
             slots[j - 1] = k
-            if k >= top:
-                top = k + 1
             booked = labels[k + 1 - lo] if column else labels[k - lo]
             if ((booked > i) != (booked in flipped)) != column:
                 flipped ^= {booked}
@@ -650,12 +653,7 @@ def cycle_factor(i: int, k: int, variant: str = "c") -> Permutation:
     """The cycle whose Schubert class drives the Pieri rule: the product of
     s_{i-k+1} ... s_i (column) or s_{i+k-1} ... s_i (row).
     """
-    if variant == "c":
-        letters = range(i - k + 1, i + 1)
-    elif variant == "r":
-        letters = range(i + k - 1, i - 1, -1)
-    else:
-        raise ValueError("variant must be 'c' or 'r'")
+    letters = range(i - k + 1, i + 1) if _is_column(variant) else range(i + k - 1, i - 1, -1)
     return perms.prod_word(tuple(letters))
 
 
@@ -666,6 +664,7 @@ def pieri_targets(p: Permutation, i: int, k: int, variant: str = "c") -> frozens
     """
     if k < 1:
         raise ValueError("need k >= 1")
+    column = _is_column(variant)
     out: set[Permutation] = set()
 
     def walk(current: Permutation, depth: int, used: frozenset[int]) -> None:
@@ -673,7 +672,7 @@ def pieri_targets(p: Permutation, i: int, k: int, variant: str = "c") -> frozens
             out.add(current)
             return
         for (a, b) in monk_covers(current, i):
-            key = a if variant == "c" else b
+            key = a if column else b
             if key in used:
                 continue
             walk(current * Permutation.transposition(a, b), depth + 1, used | {key})
@@ -685,6 +684,7 @@ def pieri_targets(p: Permutation, i: int, k: int, variant: str = "c") -> frozens
 def pieri_relation(p: Permutation, sigma: Permutation, i: int, k: int,
                    variant: str = "c") -> bool:
     """Whether sigma appears in the (i, k) Pieri product on p."""
+    _is_column(variant)  # a bad variant raises also where the lengths answer
     if sigma.length != p.length + k:
         return False
     return sigma in pieri_targets(p, i, k, variant)

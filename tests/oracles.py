@@ -67,7 +67,7 @@ code they check:
 - `quasi_yamanouchi_for_word_by_sequences` tries every positive compatible
   sequence of a reduced word, and `glide_of_word_by_filter` filters every
   pipe dream of the word's Demazure product, against the greatest-rows
-  dream of `pipedreams.quasi_yamanouchi_for_word` and `poly.glide_of_word`.
+  weight of `pipedreams.quasi_yamanouchi_weight` and `poly.glide_of_word`.
 """
 import itertools
 import random

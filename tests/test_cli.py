@@ -8,11 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from schubcalc import cli, poly, shuffles
-from schubcalc.perms import (Permutation, format_permutation, format_word, parse_permutation,
-                             reduced_words)
+from schubcalc.perms import (ParseError, Permutation, format_permutation, format_word,
+                             parse_permutation, reduced_words)
 from schubcalc.shuffles import InvariantError
 
 
@@ -101,8 +101,8 @@ def test_shuffle_verify_monk_ignores_k(capsys):
 # stdout, stderr and exit code of cli.main with COLUMNS=80: every --help, usage
 # errors, and the benchmark's commands in three --format placements; --format
 # values a command does not render, before and after it; each expand rule in text
-# and JSON; a negative --vars; and words and permutations holding a digit of
-# another script or a superscript digit
+# and JSON; a negative --vars; and words, permutations, shapes and integer
+# options holding a digit of another script or a superscript digit
 GOLDEN = json.loads((Path(__file__).resolve().parent / "cli_golden.json").read_text())
 
 
@@ -452,6 +452,25 @@ def test_shuffle_argv_fuzz(argv):
     code, _, err = _captured(argv)
     assert code in (0, 1, 2), (argv, err)
     assert "Traceback" not in err
+
+
+_NON_ASCII_DIGITS = [chr(c) for c in range(128, 0x110000) if chr(c).isdigit()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text("0123456789,- ", max_size=6), st.sampled_from(_NON_ASCII_DIGITS),
+       st.text("0123456789,- ", max_size=6))
+@example("", "\u0663", "")
+@example("2,", "\u0661", "")
+def test_cli_integers_reject_non_ascii_digits(before, digit, after):
+    """int() alone reads the digits of other scripts; the integer options,
+    shapes and positions take only 0-9, as the permutation parser does."""
+    text = before + digit + after
+    with pytest.raises(ValueError):
+        cli._int(text)
+    for parse in (cli._parse_shape, lambda t: cli._parse_integers(t, "positions")):
+        with pytest.raises(ParseError):
+            parse(text)
 
 
 def _choices(names):

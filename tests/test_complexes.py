@@ -368,6 +368,12 @@ def test_backwards_saturated_examples():
     all_words = [tuple(w) for w in itertools.permutations(letters)]
     assert is_backwards_saturated(all_words)
     assert not is_backwards_saturated(all_words[:-1])
+    # two reduced words of [3421]: behind the letter 2 are 1232 and 3123, the
+    # words behind the 1 of 1232 are {232}, and 3123 contains no 232, so the
+    # set behind 2 fails and the whole set fails with it
+    words = [parse_word("21232"), parse_word("23123")]
+    assert {perms.prod_word(w) for w in words} == {parse_permutation("[3421]")}
+    assert not is_backwards_saturated(words)
 
 
 def test_backwards_saturated_word_set_complexes_are_balls_or_spheres():

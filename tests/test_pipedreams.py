@@ -16,8 +16,8 @@ from schubcalc.pipedreams import (
     from_word_and_rows,
     is_quasi_yamanouchi,
     ladder_moves,
-    quasi_yamanouchi_for_word,
     quasi_yamanouchi_pipe_dreams,
+    quasi_yamanouchi_weight,
     reduced_pipe_dreams,
     staircase_cells,
     triangular_word,
@@ -180,28 +180,31 @@ def test_one_quasi_yamanouchi_per_word():
         represented = {d.reading_word() for d in dreams}
         assert set(by_word) == represented
         for w in represented:
-            assert quasi_yamanouchi_for_word(w) == by_word[w]
+            assert quasi_yamanouchi_weight(w) == by_word[w].weight()
 
 
-def test_quasi_yamanouchi_for_word_without_sequence():
-    assert quasi_yamanouchi_for_word((1, 2, 1)) is None
+def test_quasi_yamanouchi_weight_without_sequence():
+    assert quasi_yamanouchi_weight((1, 2, 1)) is None
 
 
-def test_quasi_yamanouchi_for_word_matches_sequence_scan():
-    """The greatest-rows dream is the one quasi-Yamanouchi dream the scan over
-    every positive compatible sequence finds: on every reduced word of S3-S5,
-    on a seeded sample of S6 and on words with letters below 1."""
+def _weight_or_none(dream):
+    return None if dream is None else dream.weight()
+
+
+def test_quasi_yamanouchi_weight_matches_sequence_scan():
+    """The weight of the greatest rows is that of the one quasi-Yamanouchi
+    dream the scan over every positive compatible sequence finds: on every
+    reduced word of S3-S5, on a seeded sample of S6 and on words with letters
+    below 1."""
     rng = random.Random(6)
     sample = rng.sample(list(symmetric_group(6)), 60)
     for p in itertools.chain(*(symmetric_group(m) for m in (3, 4, 5)), sample):
         for word in perms.reduced_words(p):
-            assert quasi_yamanouchi_for_word(word) == \
-                quasi_yamanouchi_for_word_by_sequences(word), word
+            assert quasi_yamanouchi_weight(word) == \
+                _weight_or_none(quasi_yamanouchi_for_word_by_sequences(word)), word
     for word in [(), (0,), (1, 0), (2, 0, 1), (-1, 1)]:
-        assert quasi_yamanouchi_for_word(word) == \
-            quasi_yamanouchi_for_word_by_sequences(word), word
-    with pytest.raises(ValueError):
-        quasi_yamanouchi_for_word((1, 1))
+        assert quasi_yamanouchi_weight(word) == \
+            _weight_or_none(quasi_yamanouchi_for_word_by_sequences(word)), word
 
 
 def test_quasi_yamanouchi_count_135624_by_enumeration():

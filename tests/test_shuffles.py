@@ -334,6 +334,12 @@ def test_pieri_relation_basics():
     for variant in ("c", "r"):
         targets_k1 = pieri_targets(p, 1, 1, variant)
         assert targets_k1 == frozenset(monk_rhs(p, 1)), variant
+    # "x" is no row rule; pieri_relation says so also where the lengths answer
+    sigma = next(iter(pieri_targets(p, 1, 2, "r")))
+    for call in (lambda: pieri_targets(p, 1, 2, "x"), lambda: pieri_relation(p, sigma, 1, 2, "x"),
+                 lambda: pieri_relation(p, p, 1, 2, "x")):
+        with pytest.raises(ValueError, match="variant must be 'c' \\(column\\) or 'r' \\(row\\)"):
+            call()
 
 
 def test_pieri_targets_have_correct_length():
