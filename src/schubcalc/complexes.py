@@ -266,16 +266,6 @@ def _link(facets: frozenset[int], b: int) -> frozenset[int]:
     return frozenset(f ^ b for f in facets if f & b)
 
 
-def _canon(facets: frozenset[int]) -> frozenset[int]:
-    """The used bits renamed to 0..m-1 in order: each unused bit below the
-    top, highest first, is squeezed out by shifting the bits above it."""
-    union = functools.reduce(operator.or_, facets, 0)
-    for hole in reversed(list(_bits(~union & ((1 << union.bit_length()) - 1)))):
-        below = hole - 1
-        facets = frozenset(f & below | f >> 1 & ~below for f in facets)
-    return facets
-
-
 # ---------------------------------------------------------------------------
 # vertex decomposability
 
@@ -283,49 +273,47 @@ def _canon(facets: frozenset[int]) -> frozenset[int]:
 def is_vertex_decomposable(complex_: SimplicialComplex) -> bool:
     """A pure complex qualifies when it is {} or some vertex has vertex-
     decomposable deletion and link.  Vertices are tried in sorted order, so
-    for subword complexes the leftmost surviving position is tried first.
+    for subword complexes the leftmost surviving position is tried first;
+    the search runs on the complex's own facet masks.
     """
-    return _vd_tree(_canon(complex_._view[2])) is not None
+    return _vd_tree(complex_._view[2]) is not None
 
 
 def vertex_decomposition(complex_: SimplicialComplex):
     """A witness tree: "leaf" for {}, else (vertex, deletion tree, link tree),
     with the first vertex in sorted order that works and the original labels;
     None when the complex is not vertex-decomposable.  It is the search's own
-    tree with the sorted vertices for its bits; equal subtrees are shared, so
-    its `repr`, which writes each share out again, can dwarf the tree: on
-    Delta(Q_9, [163728495]) it grew past 600 MB.
+    tree with each bit k read as the k-th sorted vertex; equal subtrees are
+    shared, so its `repr`, which writes each share out again, can dwarf the
+    tree: on Delta(Q_9, [163728495]) it grew past 600 MB.
     """
-    order, _, masks = complex_._view
-    named: dict = {}  # by (id(subtree), labels): hashing nested tuples costs their size
+    order = complex_._view[0]
+    named: dict = {}  # by id(subtree): hashing nested tuples costs their size
 
-    def name(tree, labels: tuple):
-        key = (id(tree), labels)
-        if isinstance(tree, tuple) and key not in named:
-            k, star, deletion, link = tree
-            named[key] = (labels[k], name(deletion, labels[:k] + labels[k + 1:]),
-                          name(link, tuple(v for j, v in enumerate(labels) if star >> j & 1)))
-        return named.get(key, tree)
+    def name(tree):
+        if isinstance(tree, tuple) and id(tree) not in named:
+            k, deletion, link = tree
+            named[id(tree)] = (order[k], name(deletion), name(link))
+        return named.get(id(tree), tree)
 
-    return name(_vd_tree(_canon(masks)), order)
+    return name(_vd_tree(complex_._view[2]))
 
 
 @perms._memo
 def _vd_tree(facets: frozenset[int]):
-    """The memoised search on canonical facet masks (see _canon) and its
-    witness: "leaf" for {}, None when not vertex-decomposable, else (k, star,
-    deletion tree, link tree) for the first bit k whose deletion and link
-    decompose, star the union of the link's facets.  It recurses on pure
-    complexes only, where `_delete` gives the deletion's facets, on all but k."""
+    """The memoised search on facet masks and its witness: "leaf" for {},
+    None when not vertex-decomposable, else (k, deletion tree, link tree) for
+    the lowest bit k of the facets' union whose deletion and link decompose.
+    Bits no facet uses are skipped: deleting one gives the same masks.  It
+    recurses on pure complexes only, where `_delete` gives the deletion's
+    facets, on all but k."""
     if facets == frozenset({0}):
         return "leaf"
     if len({f.bit_count() for f in facets}) == 1:
-        for k in range(max(facets).bit_length()):
-            deletion = _vd_tree(_canon(_delete(facets, 1 << k)))
-            if deletion is not None:
-                link = _link(facets, 1 << k)
-                if (link_tree := _vd_tree(_canon(link))) is not None:
-                    return k, functools.reduce(operator.or_, link), deletion, link_tree
+        for b in _bits(functools.reduce(operator.or_, facets)):
+            deletion = _vd_tree(_delete(facets, b))
+            if deletion is not None and (link := _vd_tree(_link(facets, b))) is not None:
+                return b.bit_length() - 1, deletion, link
     return None
 
 

@@ -101,8 +101,9 @@ def test_shuffle_verify_monk_ignores_k(capsys):
 # stdout, stderr and exit code of cli.main with COLUMNS=80: every --help, usage
 # errors, and the benchmark's commands in three --format placements; --format
 # values a command does not render, before and after it; each expand rule in text
-# and JSON; a negative --vars; and words, permutations, shapes and integer
-# options holding a digit of another script or a superscript digit
+# and JSON; a negative --vars; words, permutations, shapes and integer options
+# holding a digit of another script or a superscript digit; and integers only
+# Python's int grammar reads, with a "+" or an underscore between digits
 GOLDEN = json.loads((Path(__file__).resolve().parent / "cli_golden.json").read_text())
 
 

@@ -151,6 +151,15 @@ def test_vertex_decomposition_survives_memo_clear():
     assert [vertex_decomposition(c) for c in cases] == before
 
 
+def test_vertex_decomposition_skips_a_vertex_that_does_not_shed():
+    """The deletion of 1 leaves {2}, {3, 4}, not pure, so the search goes on
+    to 2, on whose deletion {1, 3}, {3, 4} and link {1} the bit of 2 is
+    unused."""
+    tree = vertex_decomposition(SimplicialComplex.from_facets([{1, 2}, {1, 3}, {3, 4}]))
+    assert tree == (2, (1, (3, (4, "leaf", "leaf"), (4, "leaf", "leaf")), (3, "leaf", "leaf")),
+                    (1, "leaf", "leaf"))
+
+
 def test_vertex_decomposition_shares_equal_subtrees():
     """In the cone over {2}, {3} the deletion and the link of 1 are equal."""
     tree = vertex_decomposition(SimplicialComplex.from_facets([{1, 2}, {1, 3}]))
@@ -642,16 +651,30 @@ def test_from_facets_matches_the_inclusion_scan():
         SimplicialComplex.from_facets([[1, "a"]], vertices=[1, "a"])
 
 
+_vertex_lists = st.sampled_from([
+    st.integers(-3, 12),
+    st.tuples(st.tuples(st.integers(1, 3), st.integers(1, 3)), st.integers(1, 4)),
+]).flatmap(lambda vertex: st.lists(vertex, unique=True, max_size=8))
+
+
 @st.composite
 def _complexes(draw):
     """A complex on distinct int or tableau vertices, from up to six drawn
     faces: phantom vertices, the void complex and {} all occur."""
-    vertex = draw(st.sampled_from([
-        st.integers(-3, 12),
-        st.tuples(st.tuples(st.integers(1, 3), st.integers(1, 3)), st.integers(1, 4))]))
-    vertices = draw(st.lists(vertex, unique=True, max_size=8))
+    vertices = draw(_vertex_lists)
     face = st.sets(st.sampled_from(vertices)) if vertices else st.just(set())
     return SimplicialComplex.from_facets(draw(st.lists(face, max_size=6)), vertices)
+
+
+@st.composite
+def _pure_complexes(draw):
+    """A pure complex on three or more vertices of `_complexes`, from two to
+    eight drawn faces of one size, at least two: phantom vertices and
+    complexes that are not vertex-decomposable occur."""
+    vertices = draw(_vertex_lists.filter(lambda vs: len(vs) >= 3))
+    size = draw(st.integers(2, len(vertices) - 1))
+    face = st.sets(st.sampled_from(vertices), min_size=size, max_size=size)
+    return SimplicialComplex.from_facets(draw(st.lists(face, min_size=2, max_size=8)), vertices)
 
 
 @settings(max_examples=200, deadline=None)
@@ -662,6 +685,22 @@ def _complexes(draw):
     tableau_complex("wct", (0, 2, 1), 3).vertices) | {((2, 1), 4)}))
 def test_json_round_trip(c):
     assert complexes.from_json(json.loads(json.dumps(c.to_json()))) == c
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pure_complexes())
+@example(SimplicialComplex.from_facets([{-4, -3}, {-4, -2}, {-2, -1}], [-5, -4, -3, -2, -1]))
+@example(SimplicialComplex.from_facets(
+    [{((1, 1), 1), ((1, 1), 2)}, {((1, 1), 1), ((1, 2), 1)}, {((1, 2), 1), ((2, 1), 3)}],
+    [((1, 1), 1), ((1, 1), 2), ((1, 1), 4), ((1, 2), 1), ((2, 1), 3)]))
+def test_vertex_decomposition_matches_walk_on_drawn_pure_complexes(c):
+    """The search on the complex's own masks, whose deletions and links leave
+    bits unused, against the plain walk, on negative and tableau labels; the
+    examples are the complex whose lowest vertex does not shed, relabelled,
+    with a phantom vertex."""
+    tree = vertex_decomposition(c)
+    assert tree == vertex_decomposition_by_deletion_link(c)
+    assert is_vertex_decomposable(c) == (tree is not None)
 
 
 def test_table_decoder_matches_binary_digits():

@@ -28,14 +28,20 @@ def test_selftest_check(check):
     check()
 
 
+def _public(nodes):
+    return [node for node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
 def test_public_names_without_a_caller_are_in_the_readme():
-    """Each name of schubcalc.__all__, and each public module-level function
-    and class of src/schubcalc, that no code in src/ or perfbench/ refers to,
-    by an AST scan, is named in the README's section "Public functions the
-    package does not call", which gives it a user.  A name outside __all__ is
-    named there with its module, as `module.name`."""
+    """Each name of schubcalc.__all__, each public module-level function and
+    class of src/schubcalc, and each public method of such a class, that no
+    code in src/ or perfbench/ refers to, by an AST scan, is named in the
+    README's section "Public functions the package does not call", which
+    gives it a user.  A method is named there as `Class.method`, and a name
+    outside __all__ with its module, as `module.name`."""
     used = set()
-    defined = set()
+    defined = set()  # (module, dotted name, name)
     for path in [*(ROOT / "src" / "schubcalc").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
@@ -44,12 +50,14 @@ def test_public_names_without_a_caller_are_in_the_readme():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
         if path.parent.name == "schubcalc":
-            defined.update((path.stem, node.name) for node in tree.body
-                           if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                           and not node.name.startswith("_"))
+            for node in _public(tree.body):
+                defined.add((path.stem, node.name, node.name))
+                if isinstance(node, ast.ClassDef):
+                    defined.update((path.stem, f"{node.name}.{method.name}", method.name)
+                                   for method in _public(node.body))
     readme = (ROOT / "README.md").read_text()
     section = readme.split("\n## Public functions the package does not call\n")[1].split("\n## ")[0]
     uncalled = {name for name in schubcalc.__all__ if name not in used}
-    uncalled |= {name if name in schubcalc.__all__ else f"{module}.{name}"
-                 for module, name in defined if name not in used}
+    uncalled |= {dotted if dotted.split(".")[0] in schubcalc.__all__ else f"{module}.{dotted}"
+                 for module, dotted, name in defined if name not in used}
     assert uncalled and uncalled <= set(re.findall(r"`([\w.]+)`", section))

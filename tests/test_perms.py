@@ -292,6 +292,21 @@ def test_parsers_reject_non_ascii_digits(before, digit, after):
             parse(before + digit + after)
 
 
+def test_parsers_take_only_a_sign_and_ascii_digits():
+    """int() also reads a "+" and underscores between digits; the integer
+    reader takes an optional "-" and the digits 0-9, whitespace around them."""
+    for text in ("[2,1_0,1,3,4,5,6,7,8,9]", "[+2,1,3]", "[21]@+0", "[21]@1_0", "[2,-+1]",
+                 "[2,-,1]"):
+        with pytest.raises(perms.ParseError):
+            parse_permutation(text)
+    for text in ("2,1_0,1", "+2,1,3", "2,-+1", "2,-,1"):
+        with pytest.raises(perms.ParseError):
+            parse_word(text)
+    assert parse_permutation("[2, 1, 3]") == parse_permutation("[213]")
+    assert parse_permutation("[2,3,0,1]@ -0 ") == parse_permutation("[2,3,0,1]@0")
+    assert parse_word(" 5, -1,3") == (5, -1, 3)
+
+
 def test_format_and_parse_words():
     assert format_word((3, 2, 1, 2)) == "3212"
     assert format_word((5, -1, 3)) == "5,-1,3"
