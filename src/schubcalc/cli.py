@@ -311,9 +311,8 @@ def _shuffle_verify(args) -> int:
         shuffle = lambda w, pos: shuffles.monk_shuffle(i, w, pos[0], validate=True)
         terms = lambda: shuffles.monk_rhs(target, i)
     else:
-        if k < 1:
-            raise ValueError("need k >= 1")
         variant = args.rule.removeprefix("pieri-")
+        shuffles._pieri_column(variant, k)  # k < 1 fails before any shuffle
         label += f", k={k}"
         shuffle = lambda w, pos: shuffles.pieri_shuffle(i, w, pos, variant=variant, validate=True)
         unshuffle = lambda out: shuffles.pieri_unshuffle(

@@ -53,7 +53,10 @@ class SimplicialComplex(Record):
     @functools.cached_property
     def _view(self) -> tuple[tuple, dict, frozenset[int]]:
         """The used vertices in sorted order, their bits, the facet masks."""
-        order = tuple(sorted(set().union(*self.facets)))
+        try:
+            order = tuple(sorted(set().union(*self.facets)))
+        except TypeError as exc:
+            raise ValueError(f"the vertices of the facets must sort together: {exc}") from None
         bit = {v: 1 << k for k, v in enumerate(order)}
         return order, bit, frozenset(sum(bit[v] for v in f) for f in self.facets)
 
@@ -591,26 +594,30 @@ def ssyt_standardization_decomposition(shape: shapes.Shape, n: int) -> dict[shap
 # rendering
 
 
+def _skeleton(complex_: SimplicialComplex, output: str) -> tuple[list, list]:
+    """The sorted edges and the sorted 2-faces, as sorted vertex lists, of a
+    non-void complex of dimension at most 2, which is drawn as `output`."""
+    if complex_.dimension() > 2:
+        raise ValueError(f"{output} output is for complexes of dimension at most 2")
+    edges = sorted({e for f in complex_.facets for e in itertools.combinations(sorted(f), 2)})
+    return edges, [sorted(f) for f in sorted(complex_.facets, key=sorted) if len(f) == 3]
+
+
 def to_dot(complex_: SimplicialComplex, labels: dict | None = None) -> str:
     """1-skeleton as a graph; 2-faces are recorded as comments."""
     if complex_.is_void:
         return "graph complex { /* void */ }"
-    if complex_.dimension() > 2:
-        raise ValueError("dot output is for complexes of dimension at most 2")
+    edges, triangles = _skeleton(complex_, "dot")
     labels = labels or {}
     names = {v: f"v{k}" for k, v in enumerate(complex_.vertices)}
     lines = ["graph complex {"]
     for v in complex_.vertices:
-        label = labels.get(v, v)
-        lines.append(f'  {names[v]} [label="{label}"];')
-    edges = sorted({tuple(sorted((names[a], names[b])))
-                    for f in complex_.facets
-                    for a, b in itertools.combinations(sorted(f), 2)})
-    for a, b in edges:
+        lines.append(f'  {names[v]} [label="{labels.get(v, v)}"];')
+    # by node name, so v10 comes before v2
+    for a, b in sorted(tuple(sorted((names[a], names[b]))) for a, b in edges):
         lines.append(f"  {a} -- {b};")
-    for f in sorted(complex_.facets, key=sorted):
-        if len(f) == 3:
-            lines.append(f"  /* 2-face {sorted(f)} */")
+    for f in triangles:
+        lines.append(f"  /* 2-face {f} */")
     lines.append("}")
     return "\n".join(lines)
 
@@ -621,29 +628,23 @@ def to_svg(complex_: SimplicialComplex, labels: dict | None = None) -> str:
 
     if complex_.is_void:
         return '<svg xmlns="http://www.w3.org/2000/svg" width="10" height="10"/>'
-    if complex_.dimension() > 2:
-        raise ValueError("svg output is for complexes of dimension at most 2")
+    edges, triangles = _skeleton(complex_, "svg")
     labels = labels or {}
-    verts = list(complex_.vertices)
     radius = 120
     side = 2 * radius + 60
     centre = side / 2
     pos = {}
-    for k, v in enumerate(verts):
-        angle = 2 * math.pi * k / max(len(verts), 1)
+    for k, v in enumerate(complex_.vertices):
+        angle = 2 * math.pi * k / len(complex_.vertices)
         pos[v] = (centre + radius * math.cos(angle), centre + radius * math.sin(angle))
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" height="{side}">']
-    for f in sorted(complex_.facets, key=sorted):
-        if len(f) == 3:
-            pts = " ".join(f"{pos[v][0]:.1f},{pos[v][1]:.1f}" for v in sorted(f))
-            parts.append(f'<polygon points="{pts}" fill="#ccc" stroke="none"/>')
-    edges = sorted({tuple(sorted((a, b)))
-                    for f in complex_.facets
-                    for a, b in itertools.combinations(sorted(f), 2)})
+    for f in triangles:
+        pts = " ".join(f"{pos[v][0]:.1f},{pos[v][1]:.1f}" for v in f)
+        parts.append(f'<polygon points="{pts}" fill="#ccc" stroke="none"/>')
     for a, b in edges:
         (x1, y1), (x2, y2) = pos[a], pos[b]
         parts.append(f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" stroke="#000"/>')
-    for v in verts:
+    for v in complex_.vertices:
         x, y = pos[v]
         parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3" fill="#000"/>')
         parts.append(f'<text x="{x + 5:.1f}" y="{y - 5:.1f}" font-size="10">{labels.get(v, v)}</text>')

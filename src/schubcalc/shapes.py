@@ -26,6 +26,8 @@ A set-valued "wct" tableau fills each box with a non-empty set under the
 same bounds, its largest element standing for the box's largest entry.
 For "ct" and "wct" the reading word is weakly increasing, so the tableau
 is determined by its content.
+The bounds are written once, in the filler `_fill`, which membership runs
+too, each box offering only the entry it holds.
 """
 from __future__ import annotations
 
@@ -176,6 +178,8 @@ def _fill(shape: Shape, n: int, family: str, fills, largest) -> tuple:
 
     `fills(low, cap)` lists, in order, what may go in a box whose entries
     lie in low..cap; `largest(box)` is the largest entry of what went in.
+    Its three callers offer every entry, every non-empty set, or for
+    membership a tableau's own entries when they lie in bounds (_fits).
     The search keeps one iterator of choices per filled box on a stack, so
     its depth does not grow with the shape.
     """
@@ -376,24 +380,19 @@ def _every_selection_fits(svt: SetValuedTableau, family: str, n: int) -> bool:
 
 
 def _fits(lows: Sequence[Sequence[int]], highs: Sequence[Sequence[int]], family: str, n: int) -> bool:
-    """The ssyt, ct or wct conditions with entries in 1..n, written once over
-    per-box bounds: every box holds some entry between its low and its high,
-    and every choice of those entries is in the family."""
-    if any(low and (min(low) < 1 or max(high) > n) for low, high in zip(lows, highs)):
-        return False
-    if any(high[c] > low[c + 1] for low, high in zip(lows, highs) for c in range(len(low) - 1)):
-        return False
-    if family == "ssyt":
-        return (is_partition(shape_of(lows))
-                and all(highs[r][c] < lows[r + 1][c]
-                        for r in range(len(lows) - 1) for c in range(len(lows[r + 1]))))
-    previous_max = 0
-    for r, (low, high) in enumerate(zip(lows, highs), start=1):
-        if low:
-            if low[0] <= previous_max or family == "wct" and high[-1] > r:
-                return False
-            previous_max = high[-1]
-    return True
+    """Whether every choice of an entry in low..high per box is an ssyt, ct or
+    wct tableau with entries in 1..n: each box offers the filler its own bounds."""
+    shape = shape_of(lows)
+    if family == "ssyt" and not is_partition(shape):
+        return False  # the filler reads the box above only on a partition
+    bounds = zip(itertools.chain.from_iterable(lows), itertools.chain.from_iterable(highs))
+
+    def own(low: int, cap: int) -> Iterator[tuple[int, int]]:
+        box_low, box_high = next(bounds)
+        if low <= box_low and box_high <= cap:
+            yield box_low, box_high
+
+    return bool(_fill(shape, n, family, own, lambda box: box[1]))
 
 
 def enumerate_set_valued_wct(shape: Shape) -> tuple[SetValuedTableau, ...]:
@@ -428,41 +427,34 @@ def is_glide(kappa: Komposition, shape: Sequence[int]) -> bool:
     if not is_weak_composition(shape):
         raise ValueError("expected a weak composition shape")
     kappa = kappa.trimmed()
-    nonzero = [i + 1 for i, a in enumerate(shape) if a]
     parts, bold = kappa.parts, kappa.bold
-    if not nonzero:
-        return not parts
-    # A state (j, start) opens block j at the 1-based index start; the answer
-    # from a state depends on nothing else, so each is searched once, on an
-    # explicit stack that no number of blocks can overflow.
-    stack = [(0, 1)]
-    seen = set(stack)
-    while stack:
-        j, start = stack.pop()
-        if j == len(nonzero):
-            if start == len(parts) + 1:
-                return True
+    # the 1-based indices at which the next block may open, advanced one
+    # non-zero part of the shape at a time, so no number of blocks recurses
+    starts = {1}
+    for position, target in enumerate(shape, start=1):
+        if not target:
             continue
-        target = shape[nonzero[j] - 1]
-        first_nonzero_seen = False
-        total = excess = 0
-        for end in range(start, min(nonzero[j], len(parts)) + 1):
-            a = parts[end - 1]
-            total += a
-            if end in bold:
-                excess += 1
-            if a and not first_nonzero_seen:
+        ends = set()
+        for start in starts:
+            first_nonzero_seen = False
+            total = excess = 0
+            for end in range(start, min(position, len(parts)) + 1):
+                a = parts[end - 1]
+                total += a
                 if end in bold:
+                    excess += 1
+                if a and not first_nonzero_seen:
+                    if end in bold:
+                        break
+                    first_nonzero_seen = True
+                if total == target + excess and first_nonzero_seen:
+                    ends.add(end + 1)
+                if total - excess > target:
+                    # each further part adds at least as much to the sum as to
+                    # the excess, so the block can never balance again
                     break
-                first_nonzero_seen = True
-            if total == target + excess and first_nonzero_seen and (j + 1, end + 1) not in seen:
-                seen.add((j + 1, end + 1))
-                stack.append((j + 1, end + 1))
-            if total - excess > target:
-                # each further part adds at least as much to the sum as to
-                # the excess, so the block can never balance again
-                break
-    return False
+        starts = ends
+    return len(parts) + 1 in starts
 
 
 def tableau_to_json(tableau: Tableau) -> list[list[int]]:

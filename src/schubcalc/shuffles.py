@@ -347,6 +347,14 @@ def _is_column(variant: str) -> bool:
     return variant == "c"
 
 
+def _pieri_column(variant: str, k: int) -> bool:
+    """_is_column for a Pieri product by the class of a k-cycle, k at least 1."""
+    column = _is_column(variant)
+    if k < 1:
+        raise ValueError("need k >= 1")
+    return column
+
+
 def _pieri_line(note: str, slots: list, marks: list, down: set[int], i: int,
                 column: bool, flipped: set[int], at: int | None = None) -> str:
     """A trace line: the marked word, the book and the labels of column `at`."""
@@ -653,7 +661,7 @@ def cycle_factor(i: int, k: int, variant: str = "c") -> Permutation:
     """The cycle whose Schubert class drives the Pieri rule: the product of
     s_{i-k+1} ... s_i (column) or s_{i+k-1} ... s_i (row).
     """
-    letters = range(i - k + 1, i + 1) if _is_column(variant) else range(i + k - 1, i - 1, -1)
+    letters = range(i - k + 1, i + 1) if _pieri_column(variant, k) else range(i + k - 1, i - 1, -1)
     return perms.prod_word(tuple(letters))
 
 
@@ -662,9 +670,7 @@ def pieri_targets(p: Permutation, i: int, k: int, variant: str = "c") -> frozens
     with every a_j <= i < b_j, lengths increasing by one each step, and the
     a_j (column variant) or b_j (row variant) pairwise distinct.
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    column = _is_column(variant)
+    column = _pieri_column(variant, k)
     out: set[Permutation] = set()
 
     def walk(current: Permutation, depth: int, used: frozenset[int]) -> None:
@@ -684,7 +690,7 @@ def pieri_targets(p: Permutation, i: int, k: int, variant: str = "c") -> frozens
 def pieri_relation(p: Permutation, sigma: Permutation, i: int, k: int,
                    variant: str = "c") -> bool:
     """Whether sigma appears in the (i, k) Pieri product on p."""
-    _is_column(variant)  # a bad variant raises also where the lengths answer
+    _pieri_column(variant, k)  # a bad variant or k raises also where the lengths answer
     if sigma.length != p.length + k:
         return False
     return sigma in pieri_targets(p, i, k, variant)

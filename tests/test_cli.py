@@ -102,8 +102,12 @@ def test_shuffle_verify_monk_ignores_k(capsys):
 # errors, and the benchmark's commands in three --format placements; --format
 # values a command does not render, before and after it; each expand rule in text
 # and JSON; a negative --vars; words, permutations, shapes and integer options
-# holding a digit of another script or a superscript digit; and integers only
-# Python's int grammar reads, with a "+" or an underscore between digits
+# holding a digit of another script or a superscript digit; integers only
+# Python's int grammar reads, with a "+" or an underscore between digits; and
+# complex drawings: `complex subword --word 321323 --perm "[1432]"` in dot and
+# svg (2-faces), `complex tableau --shape 2,1 --vars 3 --family syt --format dot`
+# (tuple labels) and `complex tableau --shape 2 --vars 3 --format svg` (exit 1 on
+# the dimension error)
 GOLDEN = json.loads((Path(__file__).resolve().parent / "cli_golden.json").read_text())
 
 

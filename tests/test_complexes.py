@@ -647,8 +647,21 @@ def test_from_facets_matches_the_inclusion_scan():
         with pytest.raises(ValueError):
             from_facets_by_scan(raw, vertices)
     # the masks order the used vertices, so ones that do not sort fail here
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="must sort together"):
         SimplicialComplex.from_facets([[1, "a"]], vertices=[1, "a"])
+
+
+def test_facet_vertices_that_do_not_sort_are_a_value_error():
+    """The masks sort the vertices the facets use, so labels of two types
+    there are refused by name; a phantom vertex of another type is never
+    sorted and still works."""
+    for build in (lambda: SimplicialComplex.from_facets([[1], [1, "a"]]),
+                  lambda: complexes.from_json({"vertices": [1, "a"], "facets": [[1, "a"]]})):
+        with pytest.raises(ValueError, match="^the vertices of the facets must sort together: "):
+            build()
+    phantom = SimplicialComplex.from_facets([[1, 2]], [1, 2, "a"])
+    assert classify_ball_or_sphere(phantom).kind == "ball"
+    assert complexes.from_json(phantom.to_json()) == phantom
 
 
 _vertex_lists = st.sampled_from([

@@ -239,6 +239,22 @@ def test_glide_agrees_with_set_valued_kontents():
         assert brute == predicate, lam
 
 
+def test_glide_matches_kontents_on_longer_kompositions():
+    """is_glide against the kontents of the set-valued tableaux of the shape,
+    on kompositions with up to two parts more than the shape, bold flags
+    included, so that parts past the shape's last non-zero part occur."""
+    assert not is_glide(Komposition((1, 0, 1)), (1, 1))
+    for lam in [lam for parts in range(4) for lam in itertools.product(range(3), repeat=parts)]:
+        brute = {kontent(svt).trimmed() for svt in enumerate_set_valued_wct(lam)}
+        for length in range(len(lam) + 3):
+            for parts in itertools.product(range(3), repeat=length):
+                nonzero = [i + 1 for i, a in enumerate(parts) if a]
+                for flags in range(min(2, len(nonzero)) + 1):
+                    for bold in itertools.combinations(nonzero, flags):
+                        kappa = Komposition(parts, frozenset(bold))
+                        assert is_glide(kappa, lam) == (kappa.trimmed() in brute), (kappa, lam)
+
+
 def test_classify_set_valued():
     stacked_single_on_multi = ((frozenset({1}),), (frozenset({1, 2}),))
     assert classify_set_valued(stacked_single_on_multi, "ssyt", 2) == "limit"

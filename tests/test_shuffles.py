@@ -326,6 +326,12 @@ def test_cycle_factor():
     assert cycle_factor(3, 2, "r") == prod_word((4, 3))
     with pytest.raises(ValueError):
         cycle_factor(1, 1, "x")
+    for k in (0, -2):
+        with pytest.raises(ValueError, match="^need k >= 1$"):
+            cycle_factor(3, k, "r")
+    # the variant is checked first
+    with pytest.raises(ValueError, match="variant"):
+        cycle_factor(3, 0, "x")
 
 
 def test_pieri_relation_basics():
@@ -340,6 +346,15 @@ def test_pieri_relation_basics():
                  lambda: pieri_relation(p, p, 1, 2, "x")):
         with pytest.raises(ValueError, match="variant must be 'c' \\(column\\) or 'r' \\(row\\)"):
             call()
+    # k < 1 raises whichever way the lengths fall, after the variant check
+    one, two = parse_permutation("[1]"), parse_permutation("[21]")
+    for k in (0, -1):
+        for call in (lambda: pieri_relation(one, two, 1, k), lambda: pieri_relation(two, one, 1, k),
+                     lambda: pieri_relation(p, p, 1, k, "r"), lambda: pieri_targets(p, 1, k)):
+            with pytest.raises(ValueError, match="^need k >= 1$"):
+                call()
+        with pytest.raises(ValueError, match="variant"):
+            pieri_relation(one, two, 1, k, "x")
 
 
 def test_pieri_targets_have_correct_length():
