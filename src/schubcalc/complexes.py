@@ -164,11 +164,12 @@ class SimplicialComplex(Record):
         return dict(zip(_faces(order, counts), counts.values()))
 
     def to_json(self) -> dict:
-        verts = list(self.vertices)
-        return {"vertices": [_vertex_json(v) for v in verts],
+        self._view  # facet vertices that do not sort together are its ValueError
+        return {"vertices": [_vertex_json(v) for v in self.vertices],
                 "facets": sorted([sorted(_vertex_json(v) for v in f) for f in self.facets])}
 
     def __repr__(self) -> str:
+        self._view  # as in to_json
         inner = ", ".join(sorted("{" + ",".join(map(str, sorted(f))) + "}"
                                  for f in self.facets))
         return f"SimplicialComplex({len(self.vertices)} vertices; facets {inner or 'void'})"
@@ -597,6 +598,7 @@ def ssyt_standardization_decomposition(shape: shapes.Shape, n: int) -> dict[shap
 def _skeleton(complex_: SimplicialComplex, output: str) -> tuple[list, list]:
     """The sorted edges and the sorted 2-faces, as sorted vertex lists, of a
     non-void complex of dimension at most 2, which is drawn as `output`."""
+    complex_._view  # as in SimplicialComplex.to_json
     if complex_.dimension() > 2:
         raise ValueError(f"{output} output is for complexes of dimension at most 2")
     edges = sorted({e for f in complex_.facets for e in itertools.combinations(sorted(f), 2)})
@@ -612,7 +614,8 @@ def to_dot(complex_: SimplicialComplex, labels: dict | None = None) -> str:
     names = {v: f"v{k}" for k, v in enumerate(complex_.vertices)}
     lines = ["graph complex {"]
     for v in complex_.vertices:
-        lines.append(f'  {names[v]} [label="{labels.get(v, v)}"];')
+        label = str(labels.get(v, v)).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  {names[v]} [label="{label}"];')
     # by node name, so v10 comes before v2
     for a, b in sorted(tuple(sorted((names[a], names[b]))) for a, b in edges):
         lines.append(f"  {a} -- {b};")
@@ -647,6 +650,7 @@ def to_svg(complex_: SimplicialComplex, labels: dict | None = None) -> str:
     for v in complex_.vertices:
         x, y = pos[v]
         parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3" fill="#000"/>')
-        parts.append(f'<text x="{x + 5:.1f}" y="{y - 5:.1f}" font-size="10">{labels.get(v, v)}</text>')
+        text = str(labels.get(v, v)).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        parts.append(f'<text x="{x + 5:.1f}" y="{y - 5:.1f}" font-size="10">{text}</text>')
     parts.append("</svg>")
     return "\n".join(parts)

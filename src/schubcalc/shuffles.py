@@ -17,8 +17,9 @@ column variant tracks "big" labels (initially everything above i) consumed
 through their lower label, the row variant mirrors this with "small" labels
 (initially everything at most i) consumed through their upper label.  That
 bookkeeping is exactly what enforces the distinctness constraints in the
-two product rules.  It is kept as the base side XOR a finite set of flipped
-labels; a run keeps that set and the marks as local state.
+two product rules.  It is kept as one flag per label of the run's window,
+high or low, the column variant booking the high labels and the row variant
+the low; a run keeps the flags and the marks as local state.
 
 Each run makes one label window and one sweep from the right to column 0,
 which checks the input.  An insertion run keeps the labels of its first
@@ -113,66 +114,70 @@ def _padded(word: Sequence[int], positions: Sequence[int]) -> tuple[list, list]:
 # label windows and searches
 
 
-def _window(word: Word, size: int, i: int) -> tuple[int, int, list[int]]:
-    """(lo, top, labels): the identity labels of heights lo..hi + 1, the
-    window reaching size + 2 beyond the letters of the word and the pivot i
-    on both sides, size being the number of slots.  A run moves each letter
+def _window(word: Word, size: int, i: int) -> tuple[int, int, list[int], list[bool]]:
+    """(lo, top, labels, high): the identity labels of heights lo..hi + 1,
+    the window reaching size + 2 beyond the letters of the word and the
+    pivot i on both sides, size being the number of slots, and the flags
+    high[x - lo] of its labels x, set when x > i.  A run moves each letter
     one way only, and ends within k of the input letters and i, so one
-    window serves every step of the run.
+    window, and its flags, serve every step of the run.
 
     Above top, one more than the highest letter and i, the labels are the
-    identity and unflipped, so no search stops there: a falling cross starts
+    identity and high, so no search stops there: a falling cross starts
     at top, and a rising one gives up past it.  An insertion keeps top above
     every letter it places, and so above every label it books; as top grows
     by at most one a step, and a run takes at most size steps, it stays
     below hi.  An extraction never moves top: _rise returns at most top, and
     a cross at top would need (high, low) labels at heights (top, top + 1),
-    but the label at top + 1 is top + 1, above i and never flipped."""
+    but the label at top + 1 is top + 1, above i and always high."""
     finite = (*word, i)
     top = max(finite) + 1
     lo = min(finite) - size - 2
-    return lo, top, list(range(lo, top + size + 3))
+    return (lo, top, list(range(lo, top + size + 3)),
+            [False] * (i + 1 - lo) + [True] * (top + size + 2 - i))
 
 
-def _fall(labels: list[int], lo: int, top: int, i: int, flipped: Container[int]) -> int:
-    """The highest height h <= top whose labels read (low, high): a label x
-    is high when (x > i) != (x in flipped).  The Monk swap (flipped empty)
-    takes a wire labelled <= i over one labelled > i; the Pieri swap of
-    either variant reads the same once the book is folded into flipped."""
-    x = labels[top + 1 - lo]
-    high = (x > i) != (x in flipped)
+def _fall(labels: list[int], lo: int, top: int, high: list[bool]) -> int:
+    """The highest height h <= top whose labels read (low, high).  The Monk
+    swap takes a wire labelled <= i over one labelled > i; the Pieri swap of
+    either variant reads the same with the book kept in the flags."""
+    above = high[labels[top + 1 - lo] - lo]
     for t in range(top - lo, -1, -1):
-        x = labels[t]
-        below = (x > i) != (x in flipped)
-        if high and not below:
+        below = high[labels[t] - lo]
+        if above and not below:
             if not t:
                 raise InvariantError(f"letter {lo} reached the edge of the label window")
             return t + lo
-        high = below
+        above = below
     raise InvariantError("no available swap below the pending cross")
 
 
-def _rise(labels: list[int], lo: int, bottom: int, top: int, i: int,
-          flipped: Container[int]) -> int | None:
+def _rise(labels: list[int], lo: int, bottom: int, top: int, high: list[bool]) -> int | None:
     """The lowest height h in bottom..top whose labels read (high, low), as
     in _fall; None when there is none (the cross rises to INF)."""
-    x = labels[bottom - lo]
-    high = (x > i) != (x in flipped)
+    below = high[labels[bottom - lo] - lo]
     for t in range(bottom + 1 - lo, top + 2 - lo):
-        x = labels[t]
-        above = (x > i) != (x in flipped)
-        if high and not above:
+        above = high[labels[t] - lo]
+        if below and not above:
             return t - 1 + lo
-        high = above
+        below = above
     return None
 
 
-def _carry_right(letters: Sequence, labels: list[int], lo: int, start: int, stop: int) -> None:
+def _carry_right(letters: Sequence, labels: list[int], lo: int, start: int, stop: int,
+                 pair: tuple[int, int] | None = None) -> int:
     """Turn the labels of column `start` into those of column `stop` >= start,
-    every cross in between swapping."""
+    every cross in between swapping, and return stop; or, given the pair of
+    labels at heights (h, h + 1), stop at the first cross at h swapping that
+    pair and return its position, 0 when no cross does."""
+    below, above = pair or (None, None)
     for p in range(start + 1, stop + 1):
         a = letters[p - 1] - lo
-        labels[a], labels[a + 1] = labels[a + 1], labels[a]
+        x, y = labels[a], labels[a + 1]
+        labels[a], labels[a + 1] = y, x
+        if x == below and y == above:
+            return p
+    return 0 if pair else stop
 
 
 def _column_labels(word: Word, labels: list[int], lo: int, column: int) -> list[int] | None:
@@ -222,14 +227,14 @@ def monk_shuffle(i: int, word: Sequence[int], position: int,
             raise ValueError("monk insertion starts from a reduced word")
         raise ValueError("insertion position out of range")
     letters: list = list(word[:position - 1]) + [INF] + list(word[position - 1:])
-    lo, top, labels = _window(word, len(letters), i)
+    lo, top, labels, high = _window(word, len(letters), i)
     labels = _column_labels(word, labels, lo, position - 1)
     if labels is None:
         raise ValueError("monk insertion starts from a reduced word")
     j = position
     while j:
         cur = letters[j - 1]
-        k = _fall(labels, lo, top if cur == INF else cur - 1, i, ())
+        k = _fall(labels, lo, top if cur == INF else cur - 1, high)
         letters[j - 1] = k
         if k >= top:
             top = k + 1
@@ -273,7 +278,7 @@ def monk_unshuffle(i: int, word: Sequence[int], source: Permutation,
     """
     word = tuple(word)
     letters: list = list(word)
-    lo, top, labels = _window(word, len(word), i)
+    lo, top, labels, high = _window(word, len(word), i)
     labels = _column_labels(word, labels, lo, 0)
     if labels is None:
         raise ValueError("expected a reduced word")
@@ -295,31 +300,21 @@ def monk_unshuffle(i: int, word: Sequence[int], source: Permutation,
         raise ValueError("length must go up by exactly one")
     # carry the labels rightwards to the column of the cross (a, b): two
     # wires of a reduced word meet at most once, so the first meeting is it
-    for j in range(1, len(letters) + 1):
-        h = letters[j - 1] - lo
-        x, y = labels[h], labels[h + 1]
-        labels[h], labels[h + 1] = y, x
-        if x == b and y == a:
-            break
-    else:
+    j = _carry_right(letters, labels, lo, 0, len(letters), (b, a))
+    if not j:
         raise InvariantError("a reduced word shows each inversion exactly once")
     while True:
-        k = _rise(labels, lo, int(letters[j - 1]) + 1, top, i, ())
+        k = _rise(labels, lo, int(letters[j - 1]) + 1, top, high)
         if k is None:
             letters[j - 1] = INF
             break
         letters[j - 1] = k
-        # the word without j is reduced, so the new cross (high, low) meets
-        # its wires again only to the right; carrying the labels rightwards
-        # finds it and leaves those of its column
-        high, low = labels[k - lo], labels[k + 1 - lo]
-        for p in range(j + 1, len(letters) + 1):
-            h = letters[p - 1] - lo
-            x, y = labels[h], labels[h + 1]
-            labels[h], labels[h + 1] = y, x
-            if x == high and y == low:
-                break
-        else:
+        # the word without j is reduced, so the new cross meets its wires
+        # again only to the right; carrying the labels rightwards finds it
+        # and leaves those of its column
+        p = _carry_right(letters, labels, lo, j, len(letters),
+                         (labels[k - lo], labels[k + 1 - lo]))
+        if not p:
             raise InvariantError("raised cross must recreate a crossing")
         if validate and perms.defects(tuple(letters)) != (j, p):
             raise InvariantError("defect pair mismatch")
@@ -334,9 +329,9 @@ def monk_unshuffle(i: int, word: Sequence[int], source: Permutation,
 # ---------------------------------------------------------------------------
 # Pieri insertion
 #
-# The book is kept as the set `flipped`: the column variant books the labels
-# x with (x > i) != (x in flipped), the row variant the rest, so x is booked
-# when ((x > i) != (x in flipped)) == column.
+# The book is kept in the window's flags: x is booked when high[x - lo] ==
+# column, the column variant booking the high labels and the row variant the
+# low.  Booking x sets its flag to column; releasing it, to not column.
 
 
 def _is_column(variant: str) -> bool:
@@ -356,12 +351,14 @@ def _pieri_column(variant: str, k: int) -> bool:
 
 
 def _pieri_line(note: str, slots: list, marks: list, down: set[int], i: int,
-                column: bool, flipped: set[int], at: int | None = None) -> str:
-    """A trace line: the marked word, the book and the labels of column `at`."""
+                column: bool, high: list[bool], lo: int, at: int | None = None) -> str:
+    """A trace line: the marked word, the book, written as its base side plus
+    and minus the labels flipped off it, and the labels of column `at`."""
     line = f"{note}: {MarkedWord(tuple(slots), tuple(marks))} ; book = "
     line += f"{{k > {i}}}" if column else f"{{k <= {i}}}"
-    plus = sorted(x for x in flipped if (x > i) != column)
-    minus = sorted(x for x in flipped if (x > i) == column)
+    flipped = [x for x, h in enumerate(high, lo) if h != (x > i)]
+    plus = [x for x in flipped if (x > i) != column]
+    minus = [x for x in flipped if (x > i) == column]
     line += (f" + {plus}" if plus else "") + (f" - {minus}" if minus else "")
     return line if at is None else line + _label_note(slots, at, i, down)
 
@@ -383,7 +380,7 @@ def pieri_shuffle(i: int, word: Sequence[int] | MarkedWord,
     base_word = tuple(word)
     down = set(positions)
     j = max(down, default=0)
-    lo, top, labels = _window(base_word, len(slots), i)
+    lo, top, labels, high = _window(base_word, len(slots), i)
     labels = _column_labels(base_word, labels, lo, j - len(down))
     if labels is None:
         raise ValueError("the unmarked content must be a reduced word")
@@ -392,14 +389,14 @@ def pieri_shuffle(i: int, word: Sequence[int] | MarkedWord,
     # swapping (lower, upper) is inserted when only the upper label is
     # booked (column) or only the lower (row), and extracted in reverse.
     column = _is_column(variant)
-    up, flipped = set(), set()
+    up = set()
     booked_at: dict[int, int] = {}  # up position -> the label it booked
     claims: dict[int, int] = {}  # bumped position -> the label it holds
     # the source's images over the window, for the check of each step
     images = (list(perms.prod_word(base_word).one_line(lo, lo + len(labels) - 1))
               if validate else None)
     if trace is not None:
-        trace.append(_pieri_line("start", slots, marks, down, i, column, flipped))
+        trace.append(_pieri_line("start", slots, marks, down, i, column, high, lo))
     while down:
         # labels: those of column j, where the next pending cross sits
         cur = slots[j - 1]
@@ -409,9 +406,9 @@ def pieri_shuffle(i: int, word: Sequence[int] | MarkedWord,
             held = upper if column else lower
             if validate and claims.pop(j) != held:
                 raise InvariantError("the released label must be the one booked at bump time")
-            if ((held > i) != (held in flipped)) != column:
+            if high[held - lo] != column:
                 raise InvariantError(f"removing {held} from a set not holding it")
-            flipped ^= {held}
+            high[held - lo] = not column
             hits = [p for p in sorted(up) if booked_at[p] == held]
             if len(hits) != 1:
                 raise InvariantError(f"label {held} should be claimed exactly once, found {hits}")
@@ -419,7 +416,7 @@ def pieri_shuffle(i: int, word: Sequence[int] | MarkedWord,
                 raise InvariantError("the claiming cross sits to the right")
             marks[hits[0] - 1] = None
             up.remove(hits[0])
-        k = _fall(labels, lo, top if cur == INF else cur - 1, i, flipped)
+        k = _fall(labels, lo, top if cur == INF else cur - 1, high)
         slots[j - 1] = k
         if k >= top:
             top = k + 1
@@ -430,8 +427,7 @@ def pieri_shuffle(i: int, word: Sequence[int] | MarkedWord,
         if validate and not lower < upper:
             raise InvariantError("insertions never create a defect on their right")
         booked = booked_at[j] = lower if column else upper
-        if ((booked > i) != (booked in flipped)) != column:
-            flipped ^= {booked}
+        high[booked - lo] = column
         # sweep j..1: a bump partner is a visible cross left of j showing
         # the new pair reversed; the labels of the next pending column (the
         # first pending or bumped position met) are kept for the next step
@@ -460,7 +456,7 @@ def pieri_shuffle(i: int, word: Sequence[int] | MarkedWord,
             down.add(partner)
         if trace is not None:
             trace.append(_pieri_line(f"placed {k} at {j}", slots, marks, down, i,
-                                     column, flipped, j))
+                                     column, high, lo, j))
         if validate:
             if down and max(down) >= j:
                 raise InvariantError("pending marks must move left")
@@ -521,7 +517,7 @@ def pieri_unshuffle(i: int, word: Sequence[int], source: Permutation,
     """
     word = tuple(word)
     slots, n = list(word), len(word)
-    lo, top, labels = _window(word, n, i)
+    lo, top, labels, high = _window(word, n, i)
     # one sweep to column 0 checks the label order as _column_labels does
     # and embeds the source greedily from the right, its rightmost subword,
     # on its images over the label window; the crosses left out are
@@ -547,17 +543,15 @@ def pieri_unshuffle(i: int, word: Sequence[int], source: Permutation,
             lo <= source.lo and source.lo + len(source.window) <= lo + len(labels)):
         raise ValueError("ambient word does not contain the permutation")
     column = _is_column(variant)
-    up, down, flipped = set(pairs), set(), set()
+    up, down = set(pairs), set()
     for pair in pairs.values():
-        x = pair[0 if column else 1]
-        if ((x > i) != (x in flipped)) != column:
-            flipped ^= {x}
+        high[pair[0 if column else 1] - lo] = column
     if up:
         # up marks are consumed left to right, leaving down marks behind
         j = min(up)
         _carry_right(slots, labels, lo, 0, j)
     if trace is not None:
-        trace.append(_pieri_line("start", slots, marks, down, i, column, flipped))
+        trace.append(_pieri_line("start", slots, marks, down, i, column, high, lo))
     while up:
         cur = slots[j - 1]
         lower, upper = labels[cur - lo], labels[cur + 1 - lo]
@@ -581,10 +575,10 @@ def pieri_unshuffle(i: int, word: Sequence[int], source: Permutation,
                 marks[partner - 1] = None
                 down.remove(partner)
         held = lower if column else upper
-        if ((held > i) != (held in flipped)) != column:
+        if high[held - lo] != column:
             raise InvariantError(f"removing {held} from a set not holding it")
-        flipped ^= {held}
-        k = _rise(labels, lo, cur + 1, top, i, flipped)
+        high[held - lo] = not column
+        k = _rise(labels, lo, cur + 1, top, high)
         marks[j - 1] = DOWN
         up.remove(j)
         down.add(j)
@@ -593,8 +587,7 @@ def pieri_unshuffle(i: int, word: Sequence[int], source: Permutation,
         else:
             slots[j - 1] = k
             booked = labels[k + 1 - lo] if column else labels[k - lo]
-            if ((booked > i) != (booked in flipped)) != column:
-                flipped ^= {booked}
+            high[booked - lo] = column
             # the defect mate: the unmarked cross right of j where the two
             # wires of the new cross meet again, up-marked crosses swapping
             # nothing.  Their heights are followed rightwards from column j;
@@ -615,7 +608,7 @@ def pieri_unshuffle(i: int, word: Sequence[int], source: Permutation,
             up.add(hits[0])
         if trace is not None:
             trace.append(_pieri_line(f"raised {j} to {'oo' if k is None else k}", slots,
-                                     marks, down, i, column, flipped, j))
+                                     marks, down, i, column, high, lo, j))
         if up:
             nxt = min(up)
             if validate and nxt <= j:

@@ -662,6 +662,12 @@ def test_facet_vertices_that_do_not_sort_are_a_value_error():
     phantom = SimplicialComplex.from_facets([[1, 2]], [1, 2, "a"])
     assert classify_ball_or_sphere(phantom).kind == "ball"
     assert complexes.from_json(phantom.to_json()) == phantom
+    # the bare constructor checks nothing, so each output reads the view first
+    bare = SimplicialComplex((1, "a"), frozenset({frozenset({1, "a"})}))
+    for output in (repr, SimplicialComplex.to_json, complexes.to_dot, complexes.to_svg,
+                   classify_ball_or_sphere):
+        with pytest.raises(ValueError, match="^the vertices of the facets must sort together: "):
+            output(bare)
 
 
 _vertex_lists = st.sampled_from([
@@ -817,3 +823,12 @@ def test_json_and_renderers():
     deep = SimplicialComplex.from_facets([{1, 2, 3, 4}])
     with pytest.raises(ValueError):
         complexes.to_dot(deep)
+
+
+def test_renderers_escape_labels():
+    """A label is dot text inside double quotes and svg character data."""
+    c = SimplicialComplex.from_facets([['a\\"&<b>', "c"]])
+    assert complexes.to_dot(c).splitlines()[1:3] == [
+        '  v0 [label="a\\\\\\"&<b>"];', '  v1 [label="c"];']
+    assert '>a\\"&amp;&lt;b&gt;</text>' in complexes.to_svg(c)
+    assert '>x&lt;y</text>' in complexes.to_svg(c, {"c": "x<y"})

@@ -155,6 +155,42 @@ def test_pieri_unshuffle_trace_text():
     ]
 
 
+def test_pieri_unshuffle_trace_of_a_book_below_its_base():
+    """A source that is not a Pieri predecessor of the word's permutation can
+    release a label of the base side that was never booked, which the trace
+    writes as the minus part of the book."""
+    trace: list[str] = []
+    out = pieri_unshuffle(1, (-1, 0, 1, 2), parse_permutation("[21]"), variant="c",
+                          trace=trace)
+    assert str(out) == "1 oov oov oov"
+    assert trace == [
+        "start: -1^ 0^ 1 2^ ; book = {k > 1} + [-1, 0]",
+        "raised 1 to 1: 1v 0^ 1^ 2^ ; book = {k > 1} + [0, 1] ; "
+        "labels(col 1, h=-1..4) = [-1, 3, 0, 1, 2, 4]",
+        "raised 2 to oo: 1v oov 1^ 2^ ; book = {k > 1} + [1] ; "
+        "labels(col 2, h=0..4) = [0, 3, 1, 2, 4]",
+        "raised 3 to oo: 1 oov oov 2^ ; book = {k > 1} ; "
+        "labels(col 3, h=0..4) = [0, 1, 3, 2, 4]",
+        "raised 4 to oo: 1 oov oov oov ; book = {k > 1} - [2] ; "
+        "labels(col 4, h=0..3) = [0, 1, 2, 3]",
+    ]
+    trace.clear()
+    out = pieri_unshuffle(2, (4, 3, 2, 1), parse_permutation("[1]"), variant="r",
+                          trace=trace)
+    assert str(out) == "oov oov oov oov"
+    assert trace == [
+        "start: 4^ 3^ 2^ 1^ ; book = {k <= 2} + [3, 4, 5]",
+        "raised 1 to oo: oov 3^ 2^ 1^ ; book = {k <= 2} + [3, 4] ; "
+        "labels(col 1, h=0..5) = [0, 2, 3, 4, 1, 5]",
+        "raised 2 to oo: oov oov 2^ 1^ ; book = {k <= 2} + [3] ; "
+        "labels(col 2, h=0..4) = [0, 2, 3, 1, 4]",
+        "raised 3 to oo: oov oov oov 1^ ; book = {k <= 2} ; "
+        "labels(col 3, h=0..4) = [0, 2, 1, 3, 4]",
+        "raised 4 to oo: oov oov oov oov ; book = {k <= 2} - [2] ; "
+        "labels(col 4, h=1..4) = [1, 2, 3, 4]",
+    ]
+
+
 def _pieri_domain(words, k):
     for w in words:
         for positions in itertools.combinations(range(1, len(w) + k + 1), k):
